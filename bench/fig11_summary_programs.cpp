@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     ir::Context ctx2;
     apps::AppBundle app2 = apps::make_gateway(ctx2, cfg);
     driver::GenOptions nofilter;
-    nofilter.summary.precondition_filtering = false;
+    nofilter.precondition_filtering = false;
     driver::Generator g2(ctx2, app2.dp, app2.rules, nofilter);
     g2.generate();
     std::printf("%-7s %16s %18s\n", app.name.c_str(),

@@ -28,9 +28,7 @@ int main() {
   sim::DeviceProgram buggy = sim::compile(app.dp, app.rules, ctx, fault);
   sim::Device device(buggy, ctx);
 
-  driver::TestRunOptions opts;
-  opts.max_recorded_failures = 1;
-  driver::Meissa meissa(ctx, app.dp, app.rules, opts);
+  driver::Meissa meissa(ctx, app.dp, app.rules);
   driver::TestReport report = meissa.test(device, app.intents);
   std::printf("%s\n", report.str().c_str());
 

@@ -148,7 +148,7 @@ class PipelineValidator {
 
  private:
   std::unique_ptr<smt::Solver> make_solver() const {
-    if (opts_.use_z3) {
+    if (opts_.summary.use_z3) {
       auto s = smt::make_z3_solver(ctx_);
       if (s != nullptr) return s;
     }
@@ -174,24 +174,15 @@ class PipelineValidator {
   // --- Pre-condition (mirrors summary::summarize's explore phase) --------
 
   void compute_precondition() {
-    summary::PreCondition pc;
-    if (opts_.summary.precondition_filtering) {
-      if (opts_.summary.precondition_mode ==
-          summary::SummaryOptions::PreconditionMode::kDataflow) {
-        pc = summary::compute_precondition(ctx_, summ_, info_.entry);
-      } else {
-        // The region reaching this entry consists of earlier-wave pipelines
-        // only (instance_deps orders the waves), so the final summarized
-        // graph shows exactly what the summarizer's own enumeration saw.
-        std::optional<summary::PreCondition> exact =
-            summary::compute_precondition_by_enumeration(
-                ctx_, summ_, info_.entry, opts_.summary.max_precondition_paths,
-                &pv_.smt_checks, "pre." + info_.name,
-                opts_.summary.static_pruning, nullptr);
-        pc = exact ? std::move(*exact)
-                   : summary::compute_precondition(ctx_, summ_, info_.entry);
-      }
-    }
+    // The region reaching this entry consists of earlier-wave pipelines
+    // only (instance_deps orders the waves), so the final summarized graph
+    // shows exactly what the summarizer's own pre-condition saw. Never
+    // cancelled (that returns a partial path set) and uncached.
+    summary::SummaryOptions so = opts_.summary;
+    so.cancel = nullptr;
+    so.shared_pc_cache = nullptr;
+    const summary::PreCondition pc =
+        summary::public_precondition(ctx_, summ_, info_, so, &pv_.smt_checks);
 
     auto by_name = [&](ir::FieldId a, ir::FieldId b) {
       return ctx_.fields.name(a) < ctx_.fields.name(b);
@@ -340,7 +331,7 @@ class PipelineValidator {
     const cfg::Node& n = orig_.node(id);
 
     if (id == info_.exit) {
-      if (surviving_.size() >= opts_.max_walk_paths) {
+      if (surviving_.size() >= kMaxWalkPaths) {
         exploded_ = true;
         return;
       }
@@ -554,9 +545,9 @@ class PipelineValidator {
       o.verdict = ObligationVerdict::kUnproven;
       o.pipeline = info_.name;
       o.detail = util::format(
-          "walk aborted after %llu paths (max_walk_paths); branch alignment "
+          "walk aborted after %llu paths (kMaxWalkPaths); branch alignment "
           "not established",
-          static_cast<unsigned long long>(opts_.max_walk_paths));
+          static_cast<unsigned long long>(kMaxWalkPaths));
       record(std::move(o));
       return;
     }

@@ -114,17 +114,16 @@ struct ValidationResult {
   const Obligation* first_refuted() const noexcept;
 };
 
+// Cap on re-derived paths per pipeline; beyond it the walk aborts with an
+// `unproven` coverage obligation (reported, never silently passed).
+inline constexpr uint64_t kMaxWalkPaths = uint64_t{1} << 17;
+
 struct ValidateOptions {
-  bool use_z3 = false;
   // Per-obligation solver budget. Exhaustion yields `unproven`.
   smt::Budget budget;
-  // Cap on re-derived paths per pipeline; exceeding it aborts that
-  // pipeline's walk with an `unproven` coverage obligation (explicitly
-  // reported, never silently passed).
-  uint64_t max_walk_paths = 1u << 17;
-  // Mirrors the SummaryOptions the summarize() call used, so the validator
-  // re-derives public pre-conditions the same way (enumeration limit,
-  // dataflow fallback, static pruning).
+  // The SummaryOptions summarize() used: pre-conditions re-derive through
+  // summary::public_precondition (minus its cancel token and shared cache)
+  // and obligations run on the same backend (use_z3).
   summary::SummaryOptions summary;
 };
 

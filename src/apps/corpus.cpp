@@ -736,7 +736,7 @@ BugCorpus build_corpus(ir::Context& ctx, const AppBundle& app,
           analysis::parse_summary_fault(site.ref);
       if (!fk) continue;
       if (!summarized) {
-        summarized = summary::summarize(ctx, graph, topts.gen.summary);
+        summarized = summary::summarize(ctx, graph);
       }
       ++out.candidates;
       cfg::Cfg broken = summarized->graph;

@@ -537,18 +537,20 @@ AppBundle make_gateway(ir::Context& ctx, const GwConfig& cfg) {
     }
   }
   {
+    // F disjoint ranges over the 16-bit hdr.ipv4.id: 4096 wide up to E = 67.
     const int F = std::max(4, E / 4);
+    const uint64_t step = std::min<uint64_t>(4096, 65536 / F);
     for (int i = 0; i < F; ++i) {
       TableEntry fc;
       fc.table = "flow_class";
-      fc.matches = {KeyMatch::range(static_cast<uint64_t>(i) * 4096,
-                                    static_cast<uint64_t>(i + 1) * 4096 - 1)};
+      fc.matches = {KeyMatch::range(static_cast<uint64_t>(i) * step,
+                                    static_cast<uint64_t>(i + 1) * step - 1)};
       fc.action = "set_flow_class";
       fc.args = {static_cast<uint64_t>(i)};
       app.rules.add(fc);
       TableEntry pol;
       pol.table = "policer";
-      pol.matches = {KeyMatch::exact(static_cast<uint64_t>(i) * 4096 + 7)};
+      pol.matches = {KeyMatch::exact(static_cast<uint64_t>(i) * step + 7)};
       pol.action = "police_mark";
       app.rules.add(pol);
     }

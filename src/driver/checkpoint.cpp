@@ -514,14 +514,11 @@ uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
   h = key_u64(h, opts.early_termination ? 1 : 0);
   h = key_u64(h, opts.check_every_predicate ? 1 : 0);
   h = key_u64(h, opts.incremental ? 1 : 0);
-  h = key_u64(h, opts.use_z3 ? 1 : 0);
   h = key_u64(h, opts.max_templates);
   h = key_u64(h, opts.smt_budget.max_conflicts);
   h = key_u64(h, opts.smt_budget.max_propagations);
   h = key_u64(h, opts.smt_budget.max_wall_ms);
-  h = key_u64(h, opts.summary.precondition_filtering ? 1 : 0);
-  h = key_u64(h, static_cast<uint64_t>(opts.summary.precondition_mode));
-  h = key_u64(h, opts.summary.max_precondition_paths);
+  h = key_u64(h, opts.precondition_filtering ? 1 : 0);
   h = key_u64(h, opts.assumes.size());
   for (ir::ExprRef a : opts.assumes) {
     h = key_str(h, ir::to_string(a, ctx.fields));

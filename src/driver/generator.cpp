@@ -68,14 +68,14 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   if (opts_.code_summary && !summarized_) {
     auto t0 = std::chrono::steady_clock::now();
     obs::Span span("summary", "gen");
-    summary::SummaryOptions so = opts_.summary;
-    so.use_z3 = opts_.use_z3;
+    summary::SummaryOptions so;
+    so.precondition_filtering = opts_.precondition_filtering;
     so.check_every_predicate = opts_.check_every_predicate;
     so.threads = threads;
     so.static_pruning = opts_.static_pruning;
     so.cancel = opts_.cancel;
     so.shared_pc_cache = opts_.shared_pc_cache;
-    if (ckpt != nullptr) so.hooks = &shooks;
+    so.hooks = ckpt != nullptr ? &shooks : opts_.summary_hooks;
     summarized_ = summary::summarize(ctx_, original_, so);
     stats_.summary_seconds = secs_since(t0);
     stats_.resumed_pipelines = summarized_->resumed_pipelines;
@@ -98,8 +98,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
       auto tv = std::chrono::steady_clock::now();
       obs::Span vspan("validate summary", "gen");
       analysis::ValidateOptions vo;
-      vo.use_z3 = opts_.use_z3;
-      vo.budget = opts_.validate_budget;
       vo.summary = so;
       validation_ = analysis::validate_summary(ctx_, original_,
                                                summarized_->graph, vo);
@@ -126,7 +124,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   eopts.early_termination = opts_.early_termination;
   eopts.check_every_predicate = opts_.check_every_predicate;
   eopts.incremental = opts_.incremental;
-  eopts.use_z3 = opts_.use_z3;
   eopts.max_results = opts_.max_templates;
   eopts.time_budget_seconds = opts_.time_budget_seconds;
   eopts.fresh_ns = "dfs";
@@ -148,7 +145,7 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   auto t0 = std::chrono::steady_clock::now();
   obs::Span dfs_span("dfs", "gen");
   std::vector<sym::TestCaseTemplate> templates;
-  const bool diagnose = opts_.detect_invalid_reads && !opts_.code_summary;
+  const bool diagnose = !opts_.code_summary;
 
   // Supervision / checkpointing hooks for the sharded DFS. The supervisor
   // is per-run (its watchdog joins before run_parallel returns its merge).

@@ -18,21 +18,20 @@ struct GenOptions {
   // The paper's headline technique; off = the basic framework (§3.2).
   bool code_summary = true;
   cfg::BuildOptions build;
-  summary::SummaryOptions summary;
+  // Summary pass settings; the rest derive from the fields below.
+  bool precondition_filtering = true;  // see summary::SummaryOptions
+  // Unit capture/replay; checkpoint_dir displaces it. Must outlive generate().
+  const summary::SummaryHooks* summary_hooks = nullptr;
   // Engine ablations (also used by the baseline reimplementations).
   bool early_termination = true;
   bool check_every_predicate = false;  // paper-faithful Algorithm 1 mode
   bool incremental = true;
-  bool use_z3 = false;
   // Generation-time assumptions over in.* fields (LPI assumes).
   std::vector<ir::ExprRef> assumes;
   // Decide predicates statically ahead of the solver (summary pass and
   // final DFS). Solver-equivalent: the emitted templates are identical
   // with this on or off; only the SMT-call count changes.
   bool static_pruning = true;
-  // Flag reads of invalid-header fields as diagnostics on each template
-  // (exact only on unsummarized graphs; disabled automatically otherwise).
-  bool detect_invalid_reads = true;
   uint64_t max_templates = 0;  // 0 = unlimited
   double time_budget_seconds = 0;  // 0 = unlimited (final DFS budget)
   // Worker threads for the summary pass and the final DFS (0 = hardware
@@ -51,10 +50,8 @@ struct GenOptions {
   // fails generation (util::ValidationError naming the pipeline and edge);
   // budget-exhausted obligations are reported as unproven in GenStats but
   // do not fail. Off by default: validation adds solver work and the
-  // emitted templates are identical either way.
+  // emitted templates are identical either way. Obligations run unbudgeted.
   bool validate_summary = false;
-  // Per-obligation solver budget for the validation pass.
-  smt::Budget validate_budget;
   // Solver-throughput layer for the final DFS (ROADMAP "solver
   // throughput"), both output-transparent — templates are byte-identical
   // on or off: the canonicalized path-condition verdict cache (auto-
@@ -104,7 +101,7 @@ struct GenStats {
   // refuted and checks skipped without touching the solver.
   uint64_t smt_calls_skipped = 0;
   uint64_t templates = 0;
-  uint64_t diagnostics = 0;  // invalid-header-read findings
+  uint64_t diagnostics = 0;  // invalid-header reads (unsummarized graph only)
   // Coverage split under solver budgets (final DFS): exact_paths are the
   // emitted templates, degraded_paths the branches a budgeted check could
   // not decide. exact + degraded = every branch the DFS tried to settle

@@ -102,7 +102,7 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
     captured[u.instance] = u;
   };
   GenOptions gopts = opts_.gen;
-  gopts.summary.hooks = &hooks;
+  gopts.summary_hooks = &hooks;
   gopts.shared_pc_cache = &cache_;
 
   Generator gen(ctx_, dp_, rules, gopts);

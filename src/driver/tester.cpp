@@ -42,18 +42,16 @@ TestReport Meissa::test(sim::Device& device,
       return;
     }
     ++report.failed;
-    if (report.failures.size() < opts_.max_recorded_failures) {
+    if (report.failures.size() < kMaxRecordedFailures) {
       CaseRecord rec;
       rec.template_id = tc.template_id;
       rec.case_id = tc.case_id;
       rec.pass = false;
       rec.model_problems = std::move(cr.model_problems);
       rec.intent_problems = std::move(cr.intent_problems);
-      if (opts_.collect_traces) {
-        rec.symbolic_trace =
-            symbolic_trace(ctx_, gen_.graph(), t.path, tc.input_state, 200);
-        rec.physical_trace = device.render_trace(out.trace);
-      }
+      rec.symbolic_trace =
+          symbolic_trace(ctx_, gen_.graph(), t.path, tc.input_state, 200);
+      rec.physical_trace = device.render_trace(out.trace);
       report.failures.push_back(std::move(rec));
     }
   };
@@ -65,8 +63,6 @@ TestReport Meissa::test(sim::Device& device,
     // exactly the installs that preceded it serially, which keeps verdicts
     // byte-identical to the old one-install-one-inject loop.
     sim::ExecArena arena;
-    arena.collect_trace = opts_.collect_traces;
-    const size_t batch = std::max<size_t>(1, opts_.batch);
     std::vector<const sym::TestCaseTemplate*> pend_t;
     std::vector<TestCase> pend_c;
     std::vector<sim::DeviceInput> inputs;
@@ -101,7 +97,7 @@ TestReport Meissa::test(sim::Device& device,
       }
       pend_t.push_back(&t);
       pend_c.push_back(std::move(*tc));
-      if (pend_c.size() >= batch) flush();
+      if (pend_c.size() >= kSendBatch) flush();
     }
     flush();
   } else {
@@ -131,7 +127,7 @@ TestReport Meissa::test(sim::Device& device,
       }
 
       std::optional<sim::DeviceOutput> verdict;
-      for (int attempt = 0; attempt <= opts_.max_send_retries; ++attempt) {
+      for (int attempt = 0; attempt <= kMaxSendRetries; ++attempt) {
         if (attempt > 0) {
           ++report.send_retries;
           // Capped exponential backoff with *equal jitter*, accounted in
@@ -141,7 +137,7 @@ TestReport Meissa::test(sim::Device& device,
           // (seed, case, attempt)-keyed stream — a pure function of the
           // run's inputs, so the accounted units are byte-identical per
           // seed, independent of wall-clock or scheduling.
-          int e = std::min(attempt - 1, opts_.max_backoff_exponent);
+          int e = std::min(attempt - 1, kMaxBackoffExponent);
           const uint64_t base = uint64_t{1} << e;
           util::Rng jitter(opts_.seed ^
                            (tc->case_id * 0x9E3779B97F4A7C15ull) ^
@@ -151,7 +147,7 @@ TestReport Meissa::test(sim::Device& device,
         // (Re-)install registers before every send: installs can fail
         // transiently, and a resend must observe pristine register state.
         bool installed = false;
-        for (int i = 0; i <= opts_.max_install_retries; ++i) {
+        for (int i = 0; i <= kMaxInstallRetries; ++i) {
           if (i > 0) ++report.install_retries;
           if (link.install_registers(tc->registers)) {
             installed = true;

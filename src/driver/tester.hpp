@@ -7,29 +7,27 @@
 
 namespace meissa::driver {
 
+// Failures recorded in TestReport::failures, with symbolic + physical traces.
+inline constexpr size_t kMaxRecordedFailures = 25;
+// Cases per run_batch submission on the perfect-link path (batches also
+// flush at register installs, so verdicts match per-case injection).
+inline constexpr size_t kSendBatch = 64;
+// Flaky link: resends before a case is quarantined (a 5%-lossy link then
+// quarantines with probability ~5e-12 per case), retries per register
+// install, and the cap on the simulated backoff exponent (accounted in
+// TestReport::backoff_units, not slept).
+inline constexpr int kMaxSendRetries = 8;
+inline constexpr int kMaxInstallRetries = 8;
+inline constexpr int kMaxBackoffExponent = 6;
+
 struct TestRunOptions {
   GenOptions gen;
   uint64_t seed = 1;
-  size_t max_recorded_failures = 25;
-  bool collect_traces = true;  // symbolic + physical traces on failure
 
   // Transport faults on the tester<->device link. Default = perfect link,
   // in which case the driver takes the exact direct injection path (one
   // install + one inject per case, no retry machinery on the wire).
   sim::LinkFaultSpec link;
-  // Cases per run_batch submission on the perfect-link path (batches also
-  // flush at register-install boundaries, so verdicts are byte-identical
-  // to per-case injection). 0 behaves like 1.
-  size_t batch = 64;
-  // Per-case resends after silence or a damaged verdict before the case is
-  // quarantined. With the default 8 retries a 5%-lossy link quarantines
-  // with probability ~5e-12 per case.
-  int max_send_retries = 8;
-  // Retries for transient register-install failures, per install.
-  int max_install_retries = 8;
-  // Cap on the exponent of the simulated exponential backoff between
-  // resends (backoff is accounted in TestReport::backoff_units, not slept).
-  int max_backoff_exponent = 6;
 };
 
 class Meissa {

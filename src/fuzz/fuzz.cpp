@@ -89,7 +89,7 @@ void Fuzzer::record_divergence(uint64_t exec, const char* kind,
                                const sim::DeviceInput& in) {
   ++result_.divergences;
   obs::instant("fuzz divergence", "fuzz");
-  if (result_.samples.size() >= opts_.max_divergences) return;
+  if (result_.samples.size() >= kMaxDivergences) return;
   Divergence d;
   d.exec = exec;
   d.kind = kind;
@@ -135,7 +135,7 @@ void Fuzzer::execute(std::vector<sim::DeviceInput>& ins, bool from_corpus,
     return;
   }
   for (sim::DeviceInput& in : ins) {
-    if (corpus_.size() >= opts_.max_corpus) break;
+    if (corpus_.size() >= kMaxCorpus) break;
     cov_.reset();
     sim::DeviceOutput out;
     target_.run_batch({&in, 1}, {&out, 1}, tgt_arena_);
@@ -153,7 +153,7 @@ FuzzResult Fuzzer::run() {
   virgin_.assign(sim::CoverageMap::kSize, 0);
 
   if (corpus_.empty()) {
-    for (size_t i = 0; i < opts_.random_seeds; ++i) {
+    for (size_t i = 0; i < kRandomSeeds; ++i) {
       corpus_.push_back(mutator_.random_packet(rng));
     }
   }
@@ -207,7 +207,7 @@ FuzzResult Fuzzer::run() {
   result_.execs_per_sec =
       secs > 0 ? static_cast<double>(result_.execs) / secs : 0;
   result_.corpus = corpus_.size();
-  result_.max_corpus = opts_.max_corpus;
+  result_.max_corpus = kMaxCorpus;
   result_.dictionary_entries = mutator_.dictionary_size();
   result_.wire_layouts = mutator_.layouts();
   result_.coverage_map_bytes = sim::CoverageMap::kSize;

@@ -27,13 +27,14 @@
 
 namespace meissa::fuzz {
 
+inline constexpr size_t kMaxCorpus = 4096;      // corpus growth cap
+inline constexpr size_t kMaxDivergences = 64;  // samples kept (with traces)
+inline constexpr size_t kRandomSeeds = 16;  // synthesized when none added
+
 struct FuzzOptions {
   uint64_t execs = 20000;     // total target executions (incl. seed runs)
   uint64_t seed = 1;
   size_t batch = 64;          // inputs per run_batch submission
-  size_t max_corpus = 4096;   // corpus growth cap
-  size_t max_divergences = 64;  // divergence samples kept (with traces)
-  size_t random_seeds = 16;   // synthesized seeds when none were added
   // Cooperative stop, polled between batches: a fired token ends the run
   // cleanly with the divergences found so far (FuzzResult::cancelled).
   // Must outlive run().
@@ -57,7 +58,7 @@ struct FuzzResult {
   size_t corpus = 0;          // final corpus size
   size_t coverage_edges = 0;  // distinct map bytes with any bucket seen
   uint64_t corpus_adds = 0;   // inputs admitted by new coverage
-  size_t max_corpus = 0;          // corpus growth cap in force
+  size_t max_corpus = 0;          // corpus growth cap (kMaxCorpus)
   size_t dictionary_entries = 0;  // mutator dictionary (rule constants)
   size_t wire_layouts = 0;        // parseable header layouts enumerated
   size_t coverage_map_bytes = 0;  // coverage map size (CoverageMap::kSize)

@@ -321,6 +321,18 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
   return pc;
 }
 
+PreCondition public_precondition(ir::Context& ctx, const cfg::Cfg& g,
+                                 const cfg::InstanceInfo& info,
+                                 const SummaryOptions& opts,
+                                 uint64_t* smt_checks, uint64_t* smt_skipped) {
+  if (!opts.precondition_filtering) return {};
+  std::optional<PreCondition> exact = compute_precondition_by_enumeration(
+      ctx, g, info.entry, opts.max_precondition_paths, smt_checks,
+      "pre." + info.name, opts.static_pruning, smt_skipped, opts.cancel,
+      opts.shared_pc_cache);
+  return exact ? std::move(*exact) : compute_precondition(ctx, g, info.entry);
+}
+
 namespace {
 
 // Encodes one internal valid path as a compact branch (Algorithm 2 lines
@@ -534,21 +546,9 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
       }
     }
 
-    // 1. Public pre-condition (Algorithm 2 lines 4–7): exact path
-    // enumeration, falling back to the dataflow meet on explosion.
-    PreCondition pc;
-    if (opts.precondition_filtering) {
-      if (opts.precondition_mode == SummaryOptions::PreconditionMode::kDataflow) {
-        pc = compute_precondition(ctx, g, info.entry);
-      } else {
-        std::optional<PreCondition> exact = compute_precondition_by_enumeration(
-            ctx, g, info.entry, opts.max_precondition_paths, &w.ps.smt_checks,
-            "pre." + info.name, opts.static_pruning, &w.ps.smt_skipped,
-            opts.cancel, opts.shared_pc_cache);
-        pc = exact ? std::move(*exact)
-                   : compute_precondition(ctx, g, info.entry);
-      }
-    }
+    // 1. Public pre-condition (Algorithm 2 lines 4–7).
+    const PreCondition pc = public_precondition(
+        ctx, g, info, opts, &w.ps.smt_checks, &w.ps.smt_skipped);
 
     // 2. Symbolic execution within the pipeline (line 9), seeded so that
     // every expression it produces is in pipeline-entry terms.

@@ -69,13 +69,8 @@ struct SummaryOptions {
   bool precondition_filtering = true;
   bool use_z3 = false;
   bool check_every_predicate = false;  // paper-faithful Algorithm 1/2 mode
-  // Pre-condition computation: the default dataflow meet costs O(graph)
-  // and no solver calls; exact per-path enumeration (Algorithm 2 lines
-  // 4-7 verbatim) costs O(k * m^k) and is available for cross-checking.
-  enum class PreconditionMode { kDataflow, kEnumeration };
-  PreconditionMode precondition_mode = PreconditionMode::kEnumeration;
-  // Enumeration mode: beyond this many prefix paths, fall back to the
-  // dataflow meet.
+  // Beyond this many prefix paths, the exact enumeration (Algorithm 2
+  // lines 4-7, O(k * m^k)) gives way to the O(graph) dataflow meet.
   size_t max_precondition_paths = 4096;
   // Worker threads for the per-pipeline explore phase (1 = sequential).
   // Pipelines are grouped into dependency waves (instance k depends on j
@@ -139,6 +134,16 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
     uint64_t* smt_skipped = nullptr,
     const util::CancelToken* cancel = nullptr,
     smt::PathCondCache* shared_pc_cache = nullptr);
+
+// The pre-condition `info`'s pipeline is summarized under; the only place
+// choosing between the two above: none without precondition_filtering,
+// else the enumeration (opts' pruning, cancel and cache; a cancelled one
+// returns a partial path set), the meet beyond max_precondition_paths.
+PreCondition public_precondition(ir::Context& ctx, const cfg::Cfg& g,
+                                 const cfg::InstanceInfo& info,
+                                 const SummaryOptions& opts,
+                                 uint64_t* smt_checks = nullptr,
+                                 uint64_t* smt_skipped = nullptr);
 
 struct PipelineSummary {
   std::string instance;

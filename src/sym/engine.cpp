@@ -470,7 +470,6 @@ void Engine::run_parallel(const Sink& sink, int threads,
       (hooks.resume != nullptr && hooks.resume->size() == shards.size())
           ? hooks.resume
           : nullptr;
-  const int max_attempts = std::max(1, hooks.max_attempts);
 
   std::chrono::steady_clock::time_point deadline{};
   bool has_deadline = false;
@@ -557,7 +556,7 @@ void Engine::run_parallel(const Sink& sink, int threads,
         break;
       }
       buffered[i].clear();
-      if (attempt >= max_attempts) {
+      if (attempt >= kMaxShardAttempts) {
         // Re-queue exhausted: the shard's subtree stays unexplored. That
         // is *degraded* coverage — counted, like budget-degraded paths,
         // never silently dropped (and never marked run-cancelled).

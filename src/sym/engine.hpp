@@ -190,6 +190,10 @@ struct ShardProgress {
   EngineStats stats;           // shard stats at the frontier (final if done)
 };
 
+// Supervised attempts per shard: a tripped attempt is re-queued once on a
+// fresh context, then the shard degrades (see ParallelHooks::supervisor).
+inline constexpr int kMaxShardAttempts = 2;
+
 // Optional supervision / checkpointing hooks for run_parallel.
 struct ParallelHooks {
   // Snapshot cadence: fire `progress` after every N emitted results per
@@ -207,11 +211,10 @@ struct ParallelHooks {
   const std::vector<ShardProgress>* resume = nullptr;
   // Watchdog: every shard attempt runs as a supervised task whose token
   // the DFS polls; a tripped attempt discards its partials and is re-run
-  // on a fresh context (max_attempts total), after which the shard is
+  // on a fresh context (kMaxShardAttempts total), after which the shard is
   // marked degraded (EngineStats::degraded_shards) and contributes no
   // results — accounted, never silently dropped.
   util::Supervisor* supervisor = nullptr;
-  int max_attempts = 2;
   // Fault injection: execution sites "shard.<i>" fire at attempt start.
   util::FaultInjector* fault = nullptr;
 };

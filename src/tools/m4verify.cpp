@@ -141,7 +141,6 @@ int main(int argc, char** argv) {
 
     const cfg::Cfg original = cfg::build_cfg(dp, rules, ctx);
     analysis::ValidateOptions vopts;
-    vopts.use_z3 = use_z3;
     vopts.summary.use_z3 = use_z3;
     if (budget_ms > 0) vopts.budget.max_wall_ms = budget_ms;
     summary::SummaryResult sr =

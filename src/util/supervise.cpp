@@ -4,7 +4,6 @@ namespace meissa::util {
 
 Supervisor::Supervisor(SuperviseOptions opts) : opts_(opts) {
   if (opts_.enabled()) {
-    if (opts_.poll_interval_ms == 0) opts_.poll_interval_ms = 1;
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 }
@@ -57,7 +56,7 @@ SuperviseStats Supervisor::stats() const {
 void Supervisor::watchdog_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   while (!stop_) {
-    cv_.wait_for(lk, std::chrono::milliseconds(opts_.poll_interval_ms),
+    cv_.wait_for(lk, std::chrono::milliseconds(kWatchdogPollMs),
                  [this] { return stop_; });
     if (stop_) return;
     const auto now = std::chrono::steady_clock::now();

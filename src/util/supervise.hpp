@@ -27,13 +27,14 @@
 
 namespace meissa::util {
 
+// Watchdog poll period.
+inline constexpr uint64_t kWatchdogPollMs = 5;
+
 struct SuperviseOptions {
   // No heartbeat movement for this long marks a task stalled (0 = off).
   uint64_t stall_timeout_ms = 0;
   // Total per-task wall-clock cap (0 = off).
   uint64_t deadline_ms = 0;
-  // Watchdog poll period.
-  uint64_t poll_interval_ms = 5;
 
   bool enabled() const noexcept {
     return stall_timeout_ms != 0 || deadline_ms != 0;

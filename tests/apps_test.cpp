@@ -4,7 +4,10 @@
 // multi-pipe topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/apps.hpp"
+#include "cfg/build.hpp"
 #include "sim/toolchain.hpp"
 
 namespace meissa::apps {
@@ -123,6 +126,36 @@ TEST(Apps, RuleSetScalingDoublesElasticIps) {
   AppBundle s1 = make_gateway(a, c1);
   AppBundle s2 = make_gateway(b2, c2);
   EXPECT_GT(s2.rules.loc(), s1.rules.loc());
+}
+
+TEST(Apps, GatewayFlowClassesFitTheIdFieldAtAnyScale) {
+  // F = max(4, E/4) flow_class ranges over the 16-bit hdr.ipv4.id: 4096
+  // wide while they fit (E <= 67, rule sets unchanged), an even split of
+  // the field beyond — 4096-wide ranges overflowed it from E = 68 on.
+  for (int e : {64, 68, 128, 1024}) {
+    ir::Context ctx;
+    GwConfig cfg;
+    cfg.level = 4;
+    cfg.elastic_ips = e;
+    AppBundle app = make_gateway(ctx, cfg);
+    EXPECT_NO_THROW(sim::compile(app.dp, app.rules, ctx)) << "E=" << e;
+    EXPECT_NO_THROW(cfg::build_cfg(app.dp, app.rules, ctx)) << "E=" << e;
+    const uint64_t classes = static_cast<uint64_t>(std::max(4, e / 4));
+    const uint64_t step = e <= 67 ? 4096 : 65536 / classes;
+    uint64_t seen = 0;
+    for (const p4::TableEntry& r : app.rules.entries) {
+      if (r.table == "flow_class") {
+        const uint64_t i = r.args.at(0);
+        EXPECT_EQ(r.matches.at(0).lo, i * step) << "E=" << e;
+        EXPECT_EQ(r.matches.at(0).hi, (i + 1) * step - 1) << "E=" << e;
+        EXPECT_LE(r.matches.at(0).hi, 0xffffu) << "E=" << e;
+        ++seen;
+      } else if (r.table == "policer") {
+        EXPECT_EQ(r.matches.at(0).value % step, 7u) << "E=" << e;
+      }
+    }
+    EXPECT_EQ(seen, classes) << "E=" << e;
+  }
 }
 
 TEST(Apps, ProgramLocGrowsWithLevel) {

@@ -9,8 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "apps/apps.hpp"
 #include "driver/checkpoint.hpp"
@@ -314,16 +317,35 @@ TEST(ContentKey, DiscriminatesInventoryAndOutputAffectingOptions) {
   cfg::Cfg g3 = cfg::build_cfg(app3.dp, app3.rules, ctx3, opts.build);
   EXPECT_EQ(driver::checkpoint_content_key(ctx3, g3, opts), base);
 
-  // Output-affecting options change the key...
-  driver::GenOptions changed = opts;
-  changed.max_templates = 3;
-  EXPECT_NE(driver::checkpoint_content_key(ctx, g, changed), base);
-  changed = opts;
-  changed.code_summary = false;
-  EXPECT_NE(driver::checkpoint_content_key(ctx, g, changed), base);
-  changed = opts;
-  changed.smt_budget.max_conflicts = 1;
-  EXPECT_NE(driver::checkpoint_content_key(ctx, g, changed), base);
+  // Every output-affecting option the key hashes changes it...
+  const std::vector<std::pair<const char*,
+                              std::function<void(driver::GenOptions&)>>>
+      flips = {
+          {"code_summary", [](auto& o) { o.code_summary = false; }},
+          {"early_termination", [](auto& o) { o.early_termination = false; }},
+          {"check_every_predicate",
+           [](auto& o) { o.check_every_predicate = true; }},
+          {"incremental", [](auto& o) { o.incremental = false; }},
+          {"max_templates", [](auto& o) { o.max_templates = 3; }},
+          {"smt_budget.max_conflicts",
+           [](auto& o) { o.smt_budget.max_conflicts = 1; }},
+          {"smt_budget.max_propagations",
+           [](auto& o) { o.smt_budget.max_propagations = 1; }},
+          {"smt_budget.max_wall_ms",
+           [](auto& o) { o.smt_budget.max_wall_ms = 1; }},
+          {"precondition_filtering",
+           [](auto& o) { o.precondition_filtering = false; }},
+          {"assumes",
+           [&](auto& o) {
+             o.assumes = {ctx.arena.bool_const(true)};
+           }},
+      };
+  driver::GenOptions changed;
+  for (const auto& [name, flip] : flips) {
+    changed = opts;
+    flip(changed);
+    EXPECT_NE(driver::checkpoint_content_key(ctx, g, changed), base) << name;
+  }
 
   // ...output-neutral ones (threads, cadence, static pruning) must not:
   // a checkpoint is resumable under a different thread count.

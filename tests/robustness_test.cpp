@@ -410,7 +410,6 @@ TEST(LossyDriver, HopelessLinkQuarantinesInsteadOfHanging) {
   sim::Device device(sim::compile(app.dp, app.rules, ctx), ctx);
   driver::TestRunOptions opts;
   opts.link.drop_rate = 1.0;  // nothing ever gets through
-  opts.max_send_retries = 3;
   driver::Meissa meissa(ctx, app.dp, app.rules, opts);
   driver::TestReport report = meissa.test(device, app.intents);
   EXPECT_FALSE(report.all_passed());
@@ -419,7 +418,7 @@ TEST(LossyDriver, HopelessLinkQuarantinesInsteadOfHanging) {
   EXPECT_EQ(report.quarantined.size(), report.cases);
   EXPECT_FALSE(report.quarantined.empty());
   // Every case burned its full retry budget with exponential backoff.
-  EXPECT_EQ(report.send_retries, 3 * report.cases);
+  EXPECT_EQ(report.send_retries, driver::kMaxSendRetries * report.cases);
   EXPECT_GT(report.backoff_units, report.send_retries / 2);
 }
 
@@ -434,7 +433,6 @@ TEST(LossyDriver, BackoffJitterIsSeedDeterministic) {
     sim::Device device(sim::compile(app.dp, app.rules, ctx), ctx);
     driver::TestRunOptions opts;
     opts.link.drop_rate = 1.0;  // every case burns its full retry budget
-    opts.max_send_retries = 6;
     opts.seed = seed;
     driver::Meissa meissa(ctx, app.dp, app.rules, opts);
     return meissa.test(device, app.intents).backoff_units;

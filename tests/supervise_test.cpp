@@ -113,7 +113,6 @@ TEST(FaultInjector, StallHonorsCancelToken) {
 TEST(Supervisor, WatchdogTripsSilentTask) {
   util::SuperviseOptions so;
   so.stall_timeout_ms = 40;
-  so.poll_interval_ms = 5;
   util::Supervisor sup(so);
   util::Supervisor::Task* task = sup.begin("quiet");
   ASSERT_NE(task, nullptr);
@@ -132,7 +131,6 @@ TEST(Supervisor, HeartbeatsKeepTaskAliveUntilDeadline) {
   util::SuperviseOptions so;
   so.stall_timeout_ms = 200;
   so.deadline_ms = 80;
-  so.poll_interval_ms = 5;
   util::Supervisor sup(so);
   util::Supervisor::Task* task = sup.begin("busy");
   // Beating steadily: the stall detector stays quiet, but the wall-clock
@@ -218,7 +216,6 @@ TEST(ShardFaults, StalledShardIsCancelledByWatchdogAndDegrades) {
   inj.add(parse_fault_spec("shard.1:stall:0:60000:0"));  // 60 s, unlimited
   util::SuperviseOptions so;
   so.stall_timeout_ms = 100;
-  so.poll_interval_ms = 5;
   const auto t0 = std::chrono::steady_clock::now();
   const driver::GenStats got = generate_with_faults(&inj, so);
   const double secs =

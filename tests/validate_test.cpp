@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 #include "analysis/validate.hpp"
 #include "apps/apps.hpp"
@@ -96,6 +97,30 @@ TEST(Validate, NatGatewaySummaryFullyProven) {
     }
   }
   EXPECT_GT(eliminated_edges, 0u);
+}
+
+// summarize() and validate_summary() share summary::public_precondition;
+// its two non-default branches must validate as cleanly as the default
+// enumeration: filtering off (no pre-condition) and a zero enumeration cap
+// (the dataflow meet for every pipeline).
+TEST(Validate, PreconditionBranchesValidateClean) {
+  ValidateOptions no_filtering;
+  no_filtering.summary.precondition_filtering = false;
+  ValidateOptions meet_only;
+  meet_only.summary.max_precondition_paths = 0;
+  for (const auto& [what, vopts] :
+       {std::pair{"no filtering", no_filtering},
+        std::pair{"dataflow meet", meet_only}}) {
+    for (bool gateway : {false, true}) {
+      ir::Context ctx;
+      const apps::AppBundle app =
+          gateway ? nat_gateway_app(ctx) : router_app(ctx);
+      Validated v = summarize_and_validate(ctx, app, vopts);
+      EXPECT_GT(v.result.obligations, 0u) << app.name << ", " << what;
+      EXPECT_EQ(v.result.refuted, 0u) << app.name << ", " << what;
+      EXPECT_TRUE(v.result.proven()) << app.name << ", " << what;
+    }
+  }
 }
 
 void expect_fault_refuted(SummaryFaultKind kind) {
