@@ -539,6 +539,8 @@ int main(int argc, char** argv) {
     auto batched_pass = [&](sim::ExecArena& arena) {
       for (size_t base = 0; base < ins.size(); base += kBatch) {
         size_t n = std::min(kBatch, ins.size() - base);
+        // Per batch, as Fuzzer does: the map's hit log grows until reset.
+        if (arena.coverage != nullptr) arena.coverage->reset();
         device.run_batch({ins.data() + base, n}, {outs.data(), n}, arena);
         for (size_t i = 0; i < n; ++i) consume(outs[i]);
       }

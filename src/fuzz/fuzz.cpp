@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace meissa::fuzz {
@@ -128,20 +129,28 @@ void Fuzzer::execute(std::vector<sim::DeviceInput>& ins, bool from_corpus,
 
   // Coverage scoring. One cheap probe over the whole batch first; only a
   // batch that actually saw something new pays for per-input attribution.
+  entries_scored_ += cov_.nonzero();
   if (!sim::merge_new_coverage(cov_, virgin_, /*commit=*/false)) return;
   if (from_corpus) {
     // Seed replay: the corpus is already admitted, just absorb its edges.
+    entries_scored_ += cov_.nonzero();
     sim::merge_new_coverage(cov_, virgin_, /*commit=*/true);
     return;
   }
-  for (sim::DeviceInput& in : ins) {
+  // Each input's counts are its own segment of the batch's hit log: every
+  // packet starts from the installed register snapshot and writes nothing
+  // back, so a fresh single-input run would count exactly the same hits.
+  ++batches_rescored_;
+  util::check(cov_.packets() == ins.size(),
+              "fuzz: one coverage segment per input");
+  for (size_t i = 0; i < ins.size(); ++i) {
     if (corpus_.size() >= kMaxCorpus) break;
-    cov_.reset();
-    sim::DeviceOutput out;
-    target_.run_batch({&in, 1}, {&out, 1}, tgt_arena_);
-    if (sim::merge_new_coverage(cov_, virgin_, /*commit=*/true)) {
+    input_cov_.reset();
+    for (uint32_t idx : cov_.packet_hits(i)) input_cov_.count(idx);
+    entries_scored_ += input_cov_.nonzero();
+    if (sim::merge_new_coverage(input_cov_, virgin_, /*commit=*/true)) {
       ++result_.corpus_adds;
-      corpus_.push_back(in);
+      corpus_.push_back(ins[i]);
     }
   }
 }
@@ -150,6 +159,8 @@ FuzzResult Fuzzer::run() {
   obs::Span span("fuzz/run", "fuzz");
   util::Rng rng(opts_.seed);
   result_ = {};
+  entries_scored_ = 0;
+  batches_rescored_ = 0;
   virgin_.assign(sim::CoverageMap::kSize, 0);
 
   if (corpus_.empty()) {
@@ -221,6 +232,8 @@ FuzzResult Fuzzer::run() {
     obs::metrics().counter("fuzz.divergences").add(result_.divergences);
     obs::metrics().counter("fuzz.corpus_adds").add(result_.corpus_adds);
     obs::metrics().counter("fuzz.new_edges").add(result_.coverage_edges);
+    obs::metrics().counter("fuzz.coverage_entries_scored").add(entries_scored_);
+    obs::metrics().counter("fuzz.batches_rescored").add(batches_rescored_);
   }
   span.arg("execs", result_.execs);
   span.arg("divergences", result_.divergences);

@@ -1,7 +1,5 @@
 #include "sim/coverage.hpp"
 
-#include <algorithm>
-
 namespace meissa::sim {
 
 uint8_t bucket_bits(uint8_t count) noexcept {
@@ -16,15 +14,12 @@ uint8_t bucket_bits(uint8_t count) noexcept {
   return 128;
 }
 
-void CoverageMap::reset() {
-  std::fill(map_.begin(), map_.end(), 0);
+void CoverageMap::reset() noexcept {
+  for (uint32_t i : touched_) map_[i] = 0;
+  touched_.clear();
+  log_.clear();
+  packet_starts_.clear();
   prev_ = 0;
-}
-
-size_t CoverageMap::nonzero() const noexcept {
-  size_t n = 0;
-  for (uint8_t b : map_) n += b != 0;
-  return n;
 }
 
 bool merge_new_coverage(const CoverageMap& cur, std::vector<uint8_t>& virgin,
@@ -34,8 +29,7 @@ bool merge_new_coverage(const CoverageMap& cur, std::vector<uint8_t>& virgin,
   }
   const std::vector<uint8_t>& map = cur.bytes();
   bool fresh = false;
-  for (size_t i = 0; i < CoverageMap::kSize; ++i) {
-    if (map[i] == 0) continue;
+  for (uint32_t i : cur.touched()) {
     uint8_t bits = bucket_bits(map[i]);
     if ((bits & ~virgin[i]) != 0) {
       fresh = true;

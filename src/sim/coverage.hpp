@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace meissa::sim {
@@ -41,34 +42,66 @@ class CoverageMap {
 
   CoverageMap() : map_(kSize, 0) {}
 
-  // Clears all counters and the edge chain.
-  void reset();
+  // Zeroes the touched counters and clears the edge chain, the touched
+  // list and the hit log. Costs O(touched + hits); capacities are kept, so
+  // a recycled map allocates nothing in steady state.
+  void reset() noexcept;
 
   // Breaks the edge chain (call between packets so the last event of one
-  // packet and the first of the next never form a phantom edge).
-  void boundary() noexcept { prev_ = 0; }
+  // packet and the first of the next never form a phantom edge) and opens
+  // the next packet's segment of the hit log.
+  void boundary() {
+    prev_ = 0;
+    packet_starts_.push_back(log_.size());
+  }
 
   // Records one event key, forming an edge with the previous one.
-  void hit(uint32_t key) noexcept {
-    size_t idx = (key ^ prev_) & (kSize - 1);
-    if (map_[idx] != 0xff) ++map_[idx];
+  void hit(uint32_t key) {
+    uint32_t idx = (key ^ prev_) & (kSize - 1);
+    log_.push_back(idx);
+    count(idx);
     prev_ = (key >> 1) & (kSize - 1);
   }
 
+  // Adds one hit to edge `idx`'s counter (saturating at 0xff) without
+  // touching the edge chain or the hit log: replays a logged edge.
+  void count(uint32_t idx) {
+    if (map_[idx] == 0) touched_.push_back(idx);
+    if (map_[idx] != 0xff) ++map_[idx];
+  }
+
   // Number of edges with a nonzero count.
-  size_t nonzero() const noexcept;
+  size_t nonzero() const noexcept { return touched_.size(); }
+
+  // Edges with a nonzero count, in first-hit order.
+  const std::vector<uint32_t>& touched() const noexcept { return touched_; }
+
+  // Packets opened by boundary() since the last reset().
+  size_t packets() const noexcept { return packet_starts_.size(); }
+
+  // Edge indices hit by packet `i` < packets(), one per hit, in hit order;
+  // hits made before the first boundary() belong to no packet.
+  std::span<const uint32_t> packet_hits(size_t i) const noexcept {
+    size_t end = i + 1 < packet_starts_.size() ? packet_starts_[i + 1]
+                                               : log_.size();
+    return {log_.data() + packet_starts_[i], log_.data() + end};
+  }
 
   const std::vector<uint8_t>& bytes() const noexcept { return map_; }
 
  private:
   std::vector<uint8_t> map_;
+  std::vector<uint32_t> touched_;        // indices whose counter is nonzero
+  std::vector<uint32_t> log_;            // edge index of every hit
+  std::vector<size_t> packet_starts_;    // log_ offset of each packet
   uint32_t prev_ = 0;
 };
 
 // Compares `cur` (bucketed) against a `virgin` map of already-seen bucket
 // bits. Returns true when `cur` contains a bucket bit absent from
 // `virgin`; with `commit`, the new bits are merged in. `virgin` must be
-// CoverageMap::kSize bytes (it is resized if not).
+// CoverageMap::kSize bytes (it is resized if not). Walks only `cur`'s
+// touched edges; a probe stops at the first new bucket.
 bool merge_new_coverage(const CoverageMap& cur, std::vector<uint8_t>& virgin,
                         bool commit);
 
