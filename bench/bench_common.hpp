@@ -123,8 +123,6 @@ inline void print_phase_json(const std::string& program, const char* variant,
       "\"build_seconds\":%.6f,\"summary_seconds\":%.6f,"
       "\"dfs_seconds\":%.6f,\"total_seconds\":%.6f,"
       "\"templates\":%llu,\"smt_checks\":%llu,\"smt_calls_skipped\":%llu,"
-      "\"pc_cache_hits\":%llu,\"pc_cache_misses\":%llu,"
-      "\"pc_model_reuse\":%llu,\"fast_path_skipped\":%llu,"
       "\"timed_out\":%s}\n",
       util::json_escape(program).c_str(), util::json_escape(variant).c_str(),
       threads, s.build_seconds, s.summary_seconds,
@@ -132,10 +130,6 @@ inline void print_phase_json(const std::string& program, const char* variant,
       static_cast<unsigned long long>(s.templates),
       static_cast<unsigned long long>(s.smt_checks),
       static_cast<unsigned long long>(s.smt_calls_skipped),
-      static_cast<unsigned long long>(s.pc_cache_hits),
-      static_cast<unsigned long long>(s.pc_cache_misses),
-      static_cast<unsigned long long>(s.pc_model_reuse),
-      static_cast<unsigned long long>(s.fast_path_skipped),
       s.timed_out ? "true" : "false");
 }
 

@@ -13,12 +13,13 @@ namespace meissa::driver {
 namespace {
 
 constexpr char kMagic[8] = {'M', '4', 'C', 'K', 'P', 'T', '0', '1'};
-// v2: solver-throughput counters (SolverStats::fast_path_skipped,
-// EngineStats::pc_cache_* / pc_model_reuse). A v1 checkpoint simply fails
-// the version guard and the run starts fresh — never misparsed.
+// v2: solver-throughput counters (fast-path skips, EngineStats::pc_cache_*,
+// model reuses). A v1 checkpoint simply fails the version guard and the
+// run starts fresh — never misparsed.
 // v3: payload carries region fingerprints (graph/glue/per-region) and the
 // content key covers options only — readers of v2 and earlier reject.
-constexpr uint32_t kVersion = 3;
+// v4: drops the fast-path-skip and model-reuse counters.
+constexpr uint32_t kVersion = 4;
 
 // --- primitive byte streams (little-endian) -------------------------------
 
@@ -171,7 +172,6 @@ void put_solver_stats(ByteWriter& w, const smt::SolverStats& s) {
   w.u64(s.checks);
   w.u64(s.fast_path_hits);
   w.u64(s.sat_calls);
-  w.u64(s.fast_path_skipped);
   w.u64(s.unknowns);
   w.u64(s.pushes);
   w.u64(s.pops);
@@ -182,7 +182,6 @@ smt::SolverStats get_solver_stats(ByteReader& r) {
   s.checks = r.u64();
   s.fast_path_hits = r.u64();
   s.sat_calls = r.u64();
-  s.fast_path_skipped = r.u64();
   s.unknowns = r.u64();
   s.pushes = r.u64();
   s.pops = r.u64();
@@ -205,7 +204,6 @@ void put_engine_stats(ByteWriter& w, const sym::EngineStats& s) {
   w.u64(s.resumed_shards);
   w.u64(s.pc_cache_hits);
   w.u64(s.pc_cache_misses);
-  w.u64(s.pc_model_reuse);
   put_solver_stats(w, s.solver);
 }
 
@@ -226,7 +224,6 @@ sym::EngineStats get_engine_stats(ByteReader& r) {
   s.resumed_shards = r.u64();
   s.pc_cache_hits = r.u64();
   s.pc_cache_misses = r.u64();
-  s.pc_model_reuse = r.u64();
   s.solver = get_solver_stats(r);
   return s;
 }

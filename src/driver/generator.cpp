@@ -130,8 +130,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   eopts.static_pruning = opts_.static_pruning;
   eopts.budget = opts_.smt_budget;
   eopts.cancel = opts_.cancel;
-  eopts.pc_cache = opts_.pc_cache;
-  eopts.solver_portfolio = opts_.solver_portfolio;
   eopts.shared_pc_cache = opts_.shared_pc_cache;
   if (opts_.static_pruning && !opts_.check_every_predicate) {
     facts_ = analysis::compute_facts(ctx_, *active_, active_->entry());
@@ -188,8 +186,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
   stats_.smt_unknowns = engine_->stats().solver.unknowns;
   stats_.pc_cache_hits = engine_->stats().pc_cache_hits;
   stats_.pc_cache_misses = engine_->stats().pc_cache_misses;
-  stats_.pc_model_reuse = engine_->stats().pc_model_reuse;
-  stats_.fast_path_skipped = engine_->stats().solver.fast_path_skipped;
   stats_.smt_checks += engine_->stats().solver.checks;
   stats_.smt_calls_skipped +=
       engine_->stats().static_prunes + engine_->stats().skipped_checks;

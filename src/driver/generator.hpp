@@ -52,19 +52,12 @@ struct GenOptions {
   // do not fail. Off by default: validation adds solver work and the
   // emitted templates are identical either way. Obligations run unbudgeted.
   bool validate_summary = false;
-  // Solver-throughput layer for the final DFS (ROADMAP "solver
-  // throughput"), both output-transparent — templates are byte-identical
-  // on or off: the canonicalized path-condition verdict cache (auto-
-  // disabled under a limited smt_budget; see EngineOptions::pc_cache) and
-  // the adaptive fast-path-vs-bit-blasting portfolio keyed by CFG region.
-  // On by default; off in the summary pass and baselines so ablations
-  // measure raw solving.
-  bool pc_cache = true;
-  bool solver_portfolio = true;
   // Externally-owned verdict cache shared across Generator runs (the
   // incremental session warms it on the baseline and reuses it per
-  // update). Forwarded to EngineOptions::shared_pc_cache — see the
-  // precondition contract there. Must outlive generate().
+  // update). Null = no cache. Forwarded to the summary pass and the final
+  // DFS as EngineOptions::shared_pc_cache — see the precondition contract
+  // there. Output-transparent: templates are byte-identical with or
+  // without it. Must outlive generate().
   smt::PathCondCache* shared_pc_cache = nullptr;
   // Optional cooperative stop for the whole generation (polled by the DFS
   // workers). Must outlive generate().
@@ -109,14 +102,13 @@ struct GenStats {
   uint64_t exact_paths = 0;
   uint64_t degraded_paths = 0;
   uint64_t smt_unknowns = 0;
-  // Solver-throughput layer (final DFS): checks answered by the path-
-  // condition cache vs. sent to a backend, sat verdicts confirmed by
-  // re-evaluating a shard's last model, and checks the adaptive portfolio
-  // routed straight to bit-blasting.
+  // Final-DFS traffic of GenOptions::shared_pc_cache: checks answered by
+  // the cache vs. sent to a backend.
   uint64_t pc_cache_hits = 0;
   uint64_t pc_cache_misses = 0;
+  // Always 0: no engine reuses sat models. Kept only because the gw-4
+  // benchmark driver (perfbench) reports it as its smt.model_reuse metric.
   uint64_t pc_model_reuse = 0;
-  uint64_t fast_path_skipped = 0;
   // Summary translation validation (GenOptions::validate_summary).
   uint64_t validate_obligations = 0;
   uint64_t validate_unsat = 0;
@@ -156,7 +148,6 @@ struct GenStats {
     pc_cache_hits += o.pc_cache_hits;
     pc_cache_misses += o.pc_cache_misses;
     pc_model_reuse += o.pc_model_reuse;
-    fast_path_skipped += o.fast_path_skipped;
     validate_obligations += o.validate_obligations;
     validate_unsat += o.validate_unsat;
     validate_unproven += o.validate_unproven;

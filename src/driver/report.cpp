@@ -24,12 +24,6 @@ std::string TestReport::str() const {
   if (gen.pc_cache_hits > 0 || gen.pc_cache_misses > 0) {
     os << "  solver cache: " << gen.pc_cache_hits << " hit(s), "
        << gen.pc_cache_misses << " miss(es)";
-    if (gen.pc_model_reuse > 0) {
-      os << ", " << gen.pc_model_reuse << " model reuse(s)";
-    }
-    if (gen.fast_path_skipped > 0) {
-      os << ", " << gen.fast_path_skipped << " fast-path skip(s) (portfolio)";
-    }
     os << "\n";
   }
   if (gen.degraded_paths > 0) {
@@ -96,8 +90,6 @@ std::string TestReport::to_json() const {
   os << ",\"smt_unknowns\":" << gen.smt_unknowns;
   os << ",\"pc_cache_hits\":" << gen.pc_cache_hits;
   os << ",\"pc_cache_misses\":" << gen.pc_cache_misses;
-  os << ",\"pc_model_reuse\":" << gen.pc_model_reuse;
-  os << ",\"fast_path_skipped\":" << gen.fast_path_skipped;
   os << ",\"validate_obligations\":" << gen.validate_obligations;
   os << ",\"validate_unsat\":" << gen.validate_unsat;
   os << ",\"validate_unproven\":" << gen.validate_unproven;

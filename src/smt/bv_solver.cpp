@@ -177,38 +177,6 @@ CheckResult BvSolver::try_fast_path() {
   return CheckResult::kSat;
 }
 
-bool BvSolver::should_try_fast_path() {
-  if (force_blast_) return false;
-  if (!portfolio_) return true;
-  // Under a limited budget the fast path is always attempted: skipping it
-  // could turn a cheap definite verdict into a budget-dependent kUnknown
-  // and grow the degraded-coverage set relative to a portfolio-off run.
-  if (!budget_.unlimited()) return true;
-  RegionArm& arm = arms_[region_];
-  // Warm-up: measure before judging the region.
-  if (arm.tries < 16) return true;
-  // Skip once the fast path wins less than 1 in 8 of its attempts here,
-  // but probe on every 32nd skip so a region whose constraint mix drifts
-  // back into the decidable fragment can re-earn its fast path.
-  if (arm.wins * 8 < arm.tries) {
-    if (arm.skips % 32 == 31) return true;
-    return false;
-  }
-  return true;
-}
-
-uint64_t BvSolver::portfolio_fast_wins() const {
-  uint64_t n = 0;
-  for (const auto& [r, a] : arms_) n += a.wins;
-  return n;
-}
-
-uint64_t BvSolver::portfolio_sat_wins() const {
-  uint64_t n = 0;
-  for (const auto& [r, a] : arms_) n += a.tries - a.wins;
-  return n;
-}
-
 void BvSolver::blast_pending() {
   // Between-blast boundary: safe point to epoch-clear the memoization
   // caches (never mid-recursion — see BitBlaster::maybe_epoch_clear).
@@ -258,32 +226,19 @@ CheckResult BvSolver::check_impl() {
   model_.clear();
   model_from_fast_path_ = false;
 
-  // Race the two backends bandit-style: attempt the interval/equality fast
-  // path unless this CFG region has taught us it rarely decides here. The
-  // verdict is backend-independent, so routing only moves *time*, never
-  // results (templates stay byte-identical with the portfolio on or off).
-  if (should_try_fast_path()) {
+  // The interval/equality fast path first, the SAT core when it cannot
+  // decide; the verdict is backend-independent.
+  if (!force_blast_) {
     CheckResult fp = try_fast_path();
-    if (portfolio_ && budget_.unlimited() && !force_blast_) {
-      RegionArm& arm = arms_[region_];
-      ++arm.tries;
-      if (fp != CheckResult::kUnknown) ++arm.wins;
-    }
     if (fp != CheckResult::kUnknown) {
       ++stats_.fast_path_hits;
       if (obs::metrics_enabled()) {
-        obs::metrics().counter("smt.portfolio.fast_wins").add(1);
+        obs::metrics().counter("smt.fast_path.hits").add(1);
       }
       return fp;
     }
     if (obs::metrics_enabled()) {
-      obs::metrics().counter("smt.portfolio.sat_wins").add(1);
-    }
-  } else {
-    ++stats_.fast_path_skipped;
-    if (portfolio_) ++arms_[region_].skips;
-    if (obs::metrics_enabled()) {
-      obs::metrics().counter("smt.portfolio.fast_skips").add(1);
+      obs::metrics().counter("smt.fast_path.misses").add(1);
     }
   }
 

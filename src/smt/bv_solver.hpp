@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "smt/bitblast.hpp"
@@ -22,8 +21,6 @@ class BvSolver final : public Solver {
   CheckResult check() override;
   Model model() override;
   void set_budget(const Budget& budget) override { budget_ = budget; }
-  void set_region(uint64_t region) override { region_ = region; }
-  void set_portfolio(bool on) override { portfolio_ = on; }
   const SolverStats& stats() const override { return stats_; }
 
   // Underlying SAT statistics (exposed for the micro benchmarks).
@@ -37,10 +34,6 @@ class BvSolver final : public Solver {
   // Forces every check through bit-blasting (fast path never consulted).
   // Differential-testing hook; not part of the Solver interface.
   void set_force_blast(bool on) { force_blast_ = on; }
-
-  // Per-region portfolio win counters, summed over regions (tests/report).
-  uint64_t portfolio_fast_wins() const;
-  uint64_t portfolio_sat_wins() const;
 
  private:
   // One decomposed per-field atom: (field & mask) op constant (mask is
@@ -67,9 +60,6 @@ class BvSolver final : public Solver {
   // Attempts the pure-domain decision procedure.
   CheckResult try_fast_path();
 
-  // Bandit decision: should this check attempt the fast path first?
-  bool should_try_fast_path();
-
   // check() minus the observability wrapper.
   CheckResult check_impl();
 
@@ -90,20 +80,7 @@ class BvSolver final : public Solver {
   Budget budget_;
   Model model_;
   bool model_from_fast_path_ = false;
-
-  // Adaptive per-check portfolio (see check_impl). Counters live in the
-  // solver instance — one solver per exploration shard — so the learned
-  // policy is a pure function of that shard's own check sequence and the
-  // outcome is identical across thread counts.
-  struct RegionArm {
-    uint32_t tries = 0;   // checks that attempted the fast path
-    uint32_t wins = 0;    // ... that it decided (kSat/kUnsat)
-    uint32_t skips = 0;   // checks routed straight to the SAT core
-  };
-  bool portfolio_ = false;
   bool force_blast_ = false;
-  uint64_t region_ = 0;
-  std::unordered_map<uint64_t, RegionArm> arms_;
   size_t blast_cache_cap_ = size_t{1} << 20;
 };
 

@@ -1,14 +1,17 @@
 // Canonicalized path-condition result cache (ROADMAP "solver throughput").
 //
-// The final DFS checks thousands of path-condition sets that are
-// structurally repeated: shards re-check their forced prefixes, sibling
-// paths re-assert the same guard the parent already proved, and — in the
-// planned incremental re-testing service — whole runs replay near-identical
-// constraint sets. Hash-consed ExprRefs make canonicalization cheap:
-// within one ir::Context, structural equality is pointer equality, so a
-// path condition canonicalizes to its *set* of conjunct pointers
-// (conjunction is commutative, associative, and idempotent — order and
-// duplicates on the conds stack don't change the formula).
+// Its one owner is the incremental re-testing session
+// (driver::IncrementalSession), whose runs replay near-identical
+// constraint sets: the session hands one cache to every summary and
+// final-DFS engine of every run, so an update re-pays only the checks its
+// rule change altered. Within a run, shards re-check their forced
+// prefixes and sibling paths re-assert the guard the parent already
+// proved, so the same sets recur there too. Hash-consed ExprRefs make
+// canonicalization cheap: within one ir::Context, structural equality is
+// pointer equality, so a path condition canonicalizes to its *set* of
+// conjunct pointers (conjunction is commutative, associative, and
+// idempotent — order and duplicates on the conds stack don't change the
+// formula).
 //
 // Key representation: a 128-bit commutative signature — the component-wise
 // sum (mod 2^64) of two independent mixes of each distinct conjunct

@@ -69,9 +69,6 @@ struct SolverStats {
   uint64_t fast_path_hits = 0;
   // checks that reached the SAT core (or Z3).
   uint64_t sat_calls = 0;
-  // checks where the adaptive portfolio went straight to the SAT core
-  // because the fast path kept losing in this CFG region (BvSolver only).
-  uint64_t fast_path_skipped = 0;
   // checks that exhausted their Budget and returned kUnknown.
   uint64_t unknowns = 0;
   uint64_t pushes = 0;
@@ -83,7 +80,6 @@ struct SolverStats {
     checks += o.checks;
     fast_path_hits += o.fast_path_hits;
     sat_calls += o.sat_calls;
-    fast_path_skipped += o.fast_path_skipped;
     unknowns += o.unknowns;
     pushes += o.pushes;
     pops += o.pops;
@@ -101,7 +97,6 @@ inline SolverStats stats_minus(SolverStats a, const SolverStats& b) {
   a.checks -= b.checks;
   a.fast_path_hits -= b.fast_path_hits;
   a.sat_calls -= b.sat_calls;
-  a.fast_path_skipped -= b.fast_path_skipped;
   a.unknowns -= b.unknowns;
   a.pushes -= b.pushes;
   a.pops -= b.pops;
@@ -126,16 +121,6 @@ class Solver {
   // Installs a per-check resource budget (applies to subsequent checks).
   // The default-constructed Budget restores unlimited solving.
   virtual void set_budget(const Budget& budget) { (void)budget; }
-
-  // Tags subsequent checks with the CFG region (predicate node) they
-  // decide. Purely advisory: backends with an adaptive portfolio key their
-  // per-region win counters on it; others ignore it.
-  virtual void set_region(uint64_t region) { (void)region; }
-
-  // Enables the adaptive per-check backend portfolio (backends without one
-  // ignore this). Off by default: behavior identical to a build without
-  // portfolio support.
-  virtual void set_portfolio(bool on) { (void)on; }
 
   virtual const SolverStats& stats() const = 0;
 };

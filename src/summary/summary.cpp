@@ -228,10 +228,7 @@ std::optional<PreCondition> compute_precondition_by_enumeration(
   opts.fresh_ns = fresh_ns;
   opts.static_pruning = static_pruning;
   opts.cancel = cancel;
-  if (shared_pc_cache != nullptr) {
-    opts.pc_cache = true;
-    opts.shared_pc_cache = shared_pc_cache;
-  }
+  opts.shared_pc_cache = shared_pc_cache;
   sym::Engine eng(ctx, g, opts);
   bool first = true;
   std::vector<ir::ExprRef> cond_order;  // first path's conds, in path order
@@ -560,10 +557,7 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     eopts.fresh_ns = info.name;
     eopts.static_pruning = opts.static_pruning;
     eopts.cancel = opts.cancel;
-    if (opts.shared_pc_cache != nullptr) {
-      eopts.pc_cache = true;
-      eopts.shared_pc_cache = opts.shared_pc_cache;
-    }
+    eopts.shared_pc_cache = opts.shared_pc_cache;
     // Per-instance dataflow facts, computed from the pipeline's entry with a
     // TOP boundary — valid for any seeds/pre-conditions rooted there.
     analysis::Facts facts;

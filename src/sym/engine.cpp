@@ -1,7 +1,5 @@
 #include "sym/engine.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/clock.hpp"
@@ -68,42 +66,11 @@ struct Engine::ExplorationContext {
   uint64_t saved_fresh = 0;         // frontier fresh-symbol counter
   smt::SolverStats saved_solver;    // frontier cumulative solver counters
   smt::SolverStats solver_base;     // rebasing offset (see stats_minus)
-  // Sat-model reuse (pc_cache on, incremental mode): the model of this
-  // shard's last SAT-core-reaching kSat check, verified against
-  // conds[0..last_model_conds). The DFS conds form a stack, so after a
-  // rollback the verified prefix shrinks but never changes content —
-  // dfs() clamps last_model_conds to the stack size — and a later check
-  // only needs the model evaluated on its *new* conjuncts to conclude
-  // kSat without any backend call.
-  smt::Model last_model;
-  size_t last_model_conds = 0;
-  // The reuse tier is not free: every cache miss with a model in hand
-  // pays an eval() tree walk per new conjunct, and each capture pays a
-  // model() walk over every blaster-known field — together those cost
-  // about as much per event as the SAT-core check a reuse win saves (on
-  // gw-4, keeping the model armed unconditionally cost ~0.5s to save 32
-  // of 1824 checks). Mirror the portfolio's arm policy: attempt freely
-  // during warmup, then keep the model armed only while wins keep pace
-  // with attempts — a losing arm *drops* the model, which stops both the
-  // per-miss evals and the per-kSat captures — and periodically probe so
-  // a shard whose tail turns reuse-friendly recovers. Counters are
-  // per-shard, so the policy is deterministic for a given shard
-  // decomposition.
-  uint64_t model_attempts = 0;
-  uint64_t model_capture_skips = 0;
-  static constexpr uint64_t kModelWarmup = 16;
-  static constexpr uint64_t kModelPayoff = 2;
-  static constexpr uint64_t kModelCaptureProbe = 32;
-
-  bool model_arm_losing() const {
-    return model_attempts >= kModelWarmup &&
-           stats.pc_model_reuse * kModelPayoff < model_attempts;
-  }
-  // Cache key of the conds stack, maintained incrementally (pc_cache on):
+  // Cache key of the conds stack, maintained incrementally (cache set):
   // folded mirrors the conds prefix already folded into sig, and on_stack
   // counts occurrences so sig tracks the *distinct* conjunct set (a
   // re-asserted conjunct doesn't change the formula). Lazily extended at
-  // each check, unwound at rollback (same discipline as last_model_conds).
+  // each check, unwound at rollback.
   std::vector<ir::ExprRef> folded;
   std::unordered_map<ir::ExprRef, uint32_t> on_stack;
   smt::PathSig sig;
@@ -119,7 +86,6 @@ struct Engine::ExplorationContext {
     if (e.opts_.incremental) {
       solver = e.make_solver();
       solver->set_budget(e.opts_.budget);
-      if (e.opts_.solver_portfolio) solver->set_portfolio(true);
       for (ir::ExprRef c : e.preconds_) solver->add(c);
     }
     if (e.gates_) {
@@ -208,15 +174,7 @@ Engine::Engine(ir::Context& ctx, const cfg::Cfg& g, EngineOptions opts)
   // The cache is only sound to consult under an unlimited per-check budget
   // (a cached definite verdict would otherwise mask a budget-dependent
   // kUnknown and make the degraded split scheduling-dependent).
-  if (opts_.pc_cache && opts_.budget.unlimited()) {
-    if (opts_.shared_pc_cache == nullptr) {
-      pc_cache_ = std::make_unique<smt::PathCondCache>();
-    }
-  } else {
-    // Gating failed: a caller-provided shared cache may not be consulted
-    // either (same budget-soundness argument).
-    opts_.shared_pc_cache = nullptr;
-  }
+  if (!opts_.budget.unlimited()) opts_.shared_pc_cache = nullptr;
   use_facts_ = gates_ && opts_.facts != nullptr &&
                opts_.facts->refuted.size() == g_.size();
   if (opts_.stop != cfg::kNoNode) {
@@ -300,17 +258,15 @@ smt::CheckResult Engine::ExplorationContext::check_current() {
 }
 
 smt::CheckResult Engine::ExplorationContext::check_current_impl() {
-  // Path-condition cache (created only under an unlimited budget — see
-  // EngineOptions::pc_cache). Consulted before any backend runs: the
+  // Path-condition cache (consulted only under an unlimited budget — see
+  // EngineOptions::shared_pc_cache). Consulted before any backend runs: the
   // verdict is a semantic property of the conjunct set, so a hit returns
   // exactly what the backend would have concluded. The signature extends
   // in O(1) per conjunct pushed since the last check — no copy or sort of
   // the condition vector — and only over conjuncts *entering* the set:
   // re-asserting a guard the path already carries leaves the formula (and
   // therefore the key) unchanged, which is where most repeats come from.
-  smt::PathCondCache* cache = eng.opts_.shared_pc_cache != nullptr
-                                  ? eng.opts_.shared_pc_cache
-                                  : eng.pc_cache_.get();
+  smt::PathCondCache* cache = eng.opts_.shared_pc_cache;
   if (cache != nullptr) {
     const std::vector<ir::ExprRef>& conds = state.conds();
     while (folded.size() < conds.size()) {
@@ -326,51 +282,11 @@ smt::CheckResult Engine::ExplorationContext::check_current_impl() {
     }
     ++stats.pc_cache_misses;
     if (obs::metrics_enabled()) obs::metrics().counter("smt.cache.misses").add();
-    // Second tier: this shard's last sat model, already verified against
-    // conds[0..last_model_conds), witnesses kSat if it also satisfies the
-    // new conjuncts — a handful of concrete evaluations vs. a solver call.
-    // eval() returning nullopt (model misses a field) falls to the backend.
-    if (!last_model.empty() && last_model_conds < state.conds().size()) {
-      ++model_attempts;
-      bool sat = true;
-      for (size_t i = last_model_conds; sat && i < state.conds().size(); ++i) {
-        std::optional<uint64_t> v = ir::eval(state.conds()[i], last_model);
-        sat = v.has_value() && *v != 0;
-      }
-      if (!sat && model_arm_losing()) last_model.clear();
-      if (sat) {
-        ++stats.pc_model_reuse;
-        last_model_conds = state.conds().size();
-        cache->insert(sig, smt::CheckResult::kSat);
-        if (obs::metrics_enabled()) {
-          obs::metrics().counter("smt.cache.model_reuse").add();
-        }
-        return smt::CheckResult::kSat;
-      }
-    }
   }
   smt::CheckResult r;
   if (eng.opts_.incremental) {
-    // Capture a reusable model only when the verdict was kSat and the
-    // check reached the SAT core — model() walks every blaster-known
-    // field, which is worth paying to amortize an expensive check but not
-    // after every cheap fast-path hit — and only while the adaptive
-    // policy says the reuse tier is earning its keep (see the
-    // kModelCapture* constants).
-    const uint64_t sat_calls_before = solver->stats().sat_calls;
     r = solver->check();
     stats.solver = folded_solver();
-    if (cache != nullptr && r == smt::CheckResult::kSat &&
-        solver->stats().sat_calls != sat_calls_before) {
-      bool capture = !model_arm_losing();
-      if (!capture && ++model_capture_skips % kModelCaptureProbe == 0) {
-        capture = true;  // probe: re-arm a dropped model to re-sample
-      }
-      if (capture) {
-        last_model = solver->model();
-        last_model_conds = state.conds().size();
-      }
-    }
   } else {
     // Non-incremental: fresh solver, re-assert everything (p4pktgen-style).
     auto s = eng.make_solver();
@@ -754,10 +670,6 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
             if (opts.incremental) {
               solver->push();
               solver->add(c);
-              // Key the adaptive portfolio's win counters on the predicate
-              // node deciding this region of the CFG (advisory; see
-              // Solver::set_region).
-              solver->set_region(id);
             }
             pushed = true;
             if (opts.early_termination && !replaying) {
@@ -803,7 +715,6 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
       // the whole path condition once at the leaf.
       bool valid = true;
       if (!opts.early_termination || !opts.incremental) {
-        if (opts.incremental) solver->set_region(id);
         smt::CheckResult cr = check_current();
         valid = cr == smt::CheckResult::kSat;
         if (cr == smt::CheckResult::kUnknown) degraded = true;
@@ -864,12 +775,10 @@ void Engine::ExplorationContext::dfs(cfg::NodeId id, const Sink& sink,
   if (pushed && opts.incremental) solver->pop();
   if (env) env->rollback(env_mark);
   state.rollback(mark);
-  // The conds stack just shrank; the last-model verified prefix and the
-  // folded signature prefix unwind with it (their surviving entries are
-  // untouched by the rollback). A conjunct leaves the signature only when
-  // its last stack occurrence pops — the mirror image of the fold in
-  // check_current_impl.
-  last_model_conds = std::min(last_model_conds, state.conds().size());
+  // The conds stack just shrank; the folded signature prefix unwinds with
+  // it (its surviving entries are untouched by the rollback). A conjunct
+  // leaves the signature only when its last stack occurrence pops — the
+  // mirror image of the fold in check_current_impl.
   while (folded.size() > state.conds().size()) {
     ir::ExprRef c = folded.back();
     auto it = on_stack.find(c);

@@ -79,26 +79,19 @@ struct EngineOptions {
   // and fired, the exploration unwinds cleanly with partial results and
   // EngineStats::cancelled = true. Must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  // Canonicalized path-condition result cache (smt/cache.hpp), consulted
-  // before any backend runs and shared by all shards of a parallel
-  // exploration. Only takes effect under an unlimited per-check budget —
-  // with a limited budget a cached definite verdict could mask a budget-
-  // dependent kUnknown and make the degraded-coverage split scheduling-
-  // dependent. Off by default so ablations/baselines measure raw solving.
-  bool pc_cache = false;
-  // Adaptive fast-path-vs-bit-blasting portfolio in the BvSolver, keyed by
-  // CFG region (predicate node). Off by default for the same reason.
-  bool solver_portfolio = false;
-  // Externally-owned verdict cache shared ACROSS engine instances (the
-  // incremental re-testing session warms it on the baseline run and reuses
-  // it for every update). Same gating as pc_cache (which must also be on);
-  // when set, the engine creates no cache of its own. Sharing across
-  // engines with different preconditions — and across runs — is sound
-  // because cache keys cover the *full* asserted conjunct set: every
-  // exploration's signature starts from the engine's precondition
-  // signature, so a verdict is a pure semantic property of the formula,
-  // valid for any engine over the same ir::Context. Must outlive every
-  // sharing engine.
+  // Caller-owned path-condition verdict cache (smt/cache.hpp), consulted
+  // before any backend runs and shared by every shard of a parallel
+  // exploration and by every engine the caller hands it to (the
+  // incremental re-testing session warms it on the baseline run and
+  // reuses it for every update). Null = no cache. Only consulted under an
+  // unlimited per-check budget — with a limited budget a cached definite
+  // verdict could mask a budget-dependent kUnknown and make the degraded-
+  // coverage split scheduling-dependent. Sharing across engines with
+  // different preconditions — and across runs — is sound because cache
+  // keys cover the *full* asserted conjunct set: every exploration's
+  // signature starts from the engine's precondition signature, so a
+  // verdict is a pure semantic property of the formula, valid for any
+  // engine over the same ir::Context. Must outlive every sharing engine.
   smt::PathCondCache* shared_pc_cache = nullptr;
 };
 
@@ -131,13 +124,10 @@ struct EngineStats {
   uint64_t requeued_shards = 0;
   uint64_t degraded_shards = 0;
   uint64_t resumed_shards = 0;
-  // Path-condition cache traffic (pc_cache on): checks answered from the
-  // cache vs. sent to a backend, and backend-reaching sat checks whose
-  // verdict was instead confirmed by re-evaluating the shard's last model
-  // against the (few) new conjuncts.
+  // Path-condition cache traffic (shared_pc_cache set): checks answered
+  // from the cache vs. sent to a backend.
   uint64_t pc_cache_hits = 0;
   uint64_t pc_cache_misses = 0;
-  uint64_t pc_model_reuse = 0;
   smt::SolverStats solver;      // checks = the paper's "# of SMT calls"
 
   // Accumulate counters from another exploration (per-shard workers).
@@ -157,7 +147,6 @@ struct EngineStats {
     resumed_shards += o.resumed_shards;
     pc_cache_hits += o.pc_cache_hits;
     pc_cache_misses += o.pc_cache_misses;
-    pc_model_reuse += o.pc_model_reuse;
     solver += o.solver;
     return *this;
   }
@@ -286,10 +275,6 @@ class Engine {
   // and the facts (if any) cover this graph.
   bool gates_ = false;
   bool use_facts_ = false;
-  // Shared verdict cache (pc_cache on AND budget unlimited — see
-  // EngineOptions::pc_cache). One instance serves run() and every shard of
-  // run_parallel(); null when disabled.
-  std::unique_ptr<smt::PathCondCache> pc_cache_;
   EngineStats stats_;
 };
 

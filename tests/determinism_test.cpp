@@ -348,90 +348,63 @@ TEST(Resume, InjectedShardCrashStillByteIdentical) {
   EXPECT_EQ(got, expect);
 }
 
-// ------------------------------------- solver throughput (cache/portfolio)
+// --------------------------------------------- session verdict cache
 
-// The acceptance bar for the solver-throughput layer: the path-condition
-// cache and the adaptive portfolio are on by default and must be output-
-// transparent — templates byte-identical to a run with both off, at every
-// thread count (the shared cache makes hit/miss *counters* scheduling-
-// dependent, but never a verdict).
-TEST(Determinism, SolverCachePortfolioTransparentAcrossThreadCounts) {
-  driver::GenOptions off;
-  off.pc_cache = false;
-  off.solver_portfolio = false;
-  off.threads = 1;
-  const std::vector<std::string> base =
-      generate_signature(nat_gateway_app, off);
-  EXPECT_FALSE(base.empty());
-  for (int threads : {1, 2, 8}) {
-    driver::GenOptions on;  // pc_cache + solver_portfolio default on
-    on.threads = threads;
-    const std::vector<std::string> got = generate_signature(nat_gateway_app, on);
-    ASSERT_EQ(got.size(), base.size()) << threads << " threads";
-    for (size_t i = 0; i < base.size(); ++i) {
-      EXPECT_EQ(got[i], base[i]) << "template " << i << ", " << threads
-                                 << " threads";
-    }
-  }
-}
-
-TEST(Determinism, SolverCacheTransparentOnMultiSwitch) {
-  driver::GenOptions off;
-  off.pc_cache = false;
-  off.solver_portfolio = false;
-  const std::vector<std::string> base =
-      generate_signature(multi_switch_app, off);
-  const std::vector<std::string> got =
-      generate_signature(multi_switch_app, {});
-  EXPECT_FALSE(base.empty());
-  ASSERT_EQ(got.size(), base.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(got[i], base[i]) << "template " << i;
-  }
+// Runs the session's baseline on `make`'s rules, then one update (the last
+// rule entry dropped); returns the update's report and, through `updated`,
+// the rules it ran on.
+driver::UpdateReport session_update(const AppMaker& make, ir::Context& ctx,
+                                    driver::IncrementalOptions opts,
+                                    p4::RuleSet* updated) {
+  apps::AppBundle app = make(ctx);
+  driver::IncrementalSession session(ctx, app.dp, opts);
+  p4::RuleSet rules = app.rules;
+  const driver::UpdateReport base = session.run(rules);
+  EXPECT_EQ(base.run, 0);
+  rules.entries.pop_back();
+  driver::UpdateReport up = session.run(rules);
+  EXPECT_EQ(up.run, 1);
+  if (updated != nullptr) *updated = rules;
+  return up;
 }
 
 TEST(Determinism, SolverCacheActuallyHits) {
-  // Not a vacuous pass: gw-4's shards re-check shared prefix condition
-  // sets (a single sequential DFS never repeats a key — the conds stack
-  // is unique along the tree — but shard-forced prefixes are re-checked
-  // per shard), so a cached run must record hits and strictly fewer
-  // backend checks than the cache-off run. gw-2 is too small for this:
-  // static pruning decides its prefix checks, leaving all-unique keys.
+  // Not a vacuous pass: the session's verdict cache, warmed by the
+  // baseline, must answer some of the update's final-DFS checks, and the
+  // update's final DFS must pay strictly fewer backend checks than a
+  // fresh (cacheless) Generator on the same rules.
   ir::Context ctx;
-  apps::AppBundle app = multi_switch_app(ctx);
-  driver::Generator gen(ctx, app.dp, app.rules, {});
-  (void)gen.generate();
-  EXPECT_GT(gen.stats().pc_cache_hits, 0u);
-  EXPECT_GT(gen.stats().pc_cache_misses, 0u);
+  p4::RuleSet rules;
+  const driver::UpdateReport up =
+      session_update(multi_switch_app, ctx, {}, &rules);
+  EXPECT_GT(up.stats.pc_cache_hits, 0u);
 
-  ir::Context ctx_off;
-  apps::AppBundle app_off = multi_switch_app(ctx_off);
-  driver::GenOptions off;
-  off.pc_cache = false;
-  off.solver_portfolio = false;
-  driver::Generator gen_off(ctx_off, app_off.dp, app_off.rules, off);
-  (void)gen_off.generate();
-  EXPECT_EQ(gen_off.stats().pc_cache_hits, 0u);
-  // Every hit and every model reuse is one backend check the off run paid.
-  EXPECT_EQ(gen.stats().engine.solver.checks +
-                gen.stats().pc_cache_hits + gen.stats().pc_model_reuse,
-            gen_off.stats().engine.solver.checks);
-  EXPECT_LT(gen.stats().engine.solver.checks,
-            gen_off.stats().engine.solver.checks);
+  ir::Context ctx_fresh;
+  apps::AppBundle app = multi_switch_app(ctx_fresh);
+  driver::Generator fresh(ctx_fresh, app.dp, rules, {});
+  const std::vector<sym::TestCaseTemplate> templates = fresh.generate();
+  EXPECT_EQ(templates.size(), up.templates.size());
+  EXPECT_EQ(fresh.stats().pc_cache_hits, 0u);
+  EXPECT_EQ(fresh.stats().pc_cache_misses, 0u);
+  // Both runs explore the same summarized graph, so every hit is one
+  // backend check the fresh run paid.
+  EXPECT_EQ(up.stats.engine.solver.checks + up.stats.pc_cache_hits,
+            fresh.stats().engine.solver.checks);
+  EXPECT_LT(up.stats.engine.solver.checks,
+            fresh.stats().engine.solver.checks);
 }
 
 TEST(Determinism, SolverCacheAutoDisabledUnderLimitedBudget) {
   // With a limited per-check budget a cached verdict could mask a budget-
   // dependent kUnknown and make the degraded-coverage split scheduling-
-  // dependent; the engine must not consult the cache at all.
+  // dependent; the final DFS must not consult the session's cache at all.
   ir::Context ctx;
-  apps::AppBundle app = nat_gateway_app(ctx);
-  driver::GenOptions opts;  // pc_cache defaults on...
-  opts.smt_budget.max_conflicts = 1;  // ...but the budget disables it
-  driver::Generator gen(ctx, app.dp, app.rules, opts);
-  (void)gen.generate();
-  EXPECT_EQ(gen.stats().pc_cache_hits, 0u);
-  EXPECT_EQ(gen.stats().pc_cache_misses, 0u);
+  driver::IncrementalOptions opts;
+  opts.gen.smt_budget.max_conflicts = 1;
+  const driver::UpdateReport up =
+      session_update(nat_gateway_app, ctx, opts, nullptr);
+  EXPECT_EQ(up.stats.pc_cache_hits, 0u);
+  EXPECT_EQ(up.stats.pc_cache_misses, 0u);
 }
 
 // ------------------------------------------------- static pruning (m4lint)

@@ -1,8 +1,10 @@
 // Additional engine & summary tests: the paper-faithful
 // check-every-predicate mode, stop-region restriction, value-set
-// pre-conditions, and time budgets.
+// pre-conditions, time budgets, and the solver-backend differential.
 #include <gtest/gtest.h>
 
+#include "apps/apps.hpp"
+#include "driver/generator.hpp"
 #include "summary/summary.hpp"
 #include "sym/template.hpp"
 #include "testlib.hpp"
@@ -113,6 +115,34 @@ TEST(TimeBudget, AbortsAndMarksTimeout) {
   Engine eng(ctx, g, opts);
   eng.run([](const PathResult&) {});
   EXPECT_TRUE(eng.stats().timed_out);
+}
+
+// Engine-level backend differential: over each summarized gateway graph,
+// exploring with Z3 must emit exactly the paths the BvSolver emits. Static
+// pruning is off so every non-folded predicate reaches the backend.
+TEST(Z3Differential, GatewayPathSetsMatchBvSolver) {
+  if (!smt::have_z3()) GTEST_SKIP() << "built without Z3";
+  for (int level = 1; level <= 4; ++level) {
+    ir::Context ctx;
+    apps::GwConfig cfg;
+    cfg.level = level;
+    apps::AppBundle app = apps::make_gateway(ctx, cfg);
+    driver::Generator gen(ctx, app.dp, app.rules, {});
+    const size_t templates = gen.generate().size();
+    auto explore = [&](bool use_z3) {
+      EngineOptions opts;
+      opts.use_z3 = use_z3;
+      opts.static_pruning = false;
+      Engine eng(ctx, gen.graph(), opts);
+      std::vector<cfg::Path> paths;
+      eng.run([&](const PathResult& r) { paths.push_back(r.path); });
+      EXPECT_GT(eng.stats().solver.checks, 0u) << "gw-" << level;
+      return paths;
+    };
+    const std::vector<cfg::Path> bv = explore(false);
+    EXPECT_EQ(bv.size(), templates) << "gw-" << level;
+    EXPECT_EQ(explore(true), bv) << "gw-" << level;
+  }
 }
 
 }  // namespace

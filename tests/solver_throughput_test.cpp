@@ -1,8 +1,7 @@
 // Tests for the solver-throughput layer: the canonicalized path-condition
-// cache, the adaptive fast-path/bit-blasting portfolio, learned-clause
-// database hygiene (reduce_learnts bookkeeping + level-0 garbage
-// collection), the bounded bit-blaster caches, and the stats_minus
-// rebasing helper.
+// cache, learned-clause database hygiene (reduce_learnts bookkeeping +
+// level-0 garbage collection), the bounded bit-blaster caches, and the
+// stats_minus rebasing helper.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -121,48 +120,6 @@ TEST(BvSolverDifferential, FastPathNeverDisagreesWithBitBlasting) {
     EXPECT_EQ(a, b) << "round " << round;
     EXPECT_EQ(blast.stats().fast_path_hits, 0u);  // really forced to blast
   }
-}
-
-// --------------------------------------------------------- bandit portfolio
-
-TEST(BvSolverPortfolio, SkipsLosingFastPathAndKeepsVerdicts) {
-  ir::Context ctx;
-  BvSolver s(ctx);
-  s.set_portfolio(true);
-  s.set_region(42);
-  ExprRef f = ctx.field_var("f", 16);
-  // (f & 0x0f0f) < k is outside the fast path's fragment (masked compare
-  // with an order relation): every attempt loses to the SAT core. After
-  // the 16-try warm-up the bandit must start routing straight to blasting.
-  ExprRef masked = ctx.arena.arith(ir::ArithOp::kAnd, f,
-                                   ctx.arena.constant(0x0f0f, 16));
-  for (int i = 0; i < 64; ++i) {
-    s.push();
-    s.add(ctx.arena.cmp(CmpOp::kLt, masked,
-                        ctx.arena.constant(1 + (i % 200), 16)));
-    EXPECT_EQ(s.check(), CheckResult::kSat) << "check " << i;
-    s.pop();
-  }
-  EXPECT_GT(s.stats().fast_path_skipped, 0u);
-  EXPECT_EQ(s.stats().fast_path_hits, 0u);
-  EXPECT_GT(s.portfolio_sat_wins(), 0u);
-  EXPECT_EQ(s.portfolio_fast_wins(), 0u);
-}
-
-TEST(BvSolverPortfolio, WinningFastPathIsNeverSkipped) {
-  ir::Context ctx;
-  BvSolver s(ctx);
-  s.set_portfolio(true);
-  s.set_region(7);
-  ExprRef f = ctx.field_var("f", 16);
-  for (int i = 0; i < 64; ++i) {
-    s.push();
-    s.add(ctx.arena.cmp(CmpOp::kEq, f, ctx.arena.constant(i, 16)));
-    EXPECT_EQ(s.check(), CheckResult::kSat);
-    s.pop();
-  }
-  EXPECT_EQ(s.stats().fast_path_skipped, 0u);
-  EXPECT_EQ(s.stats().fast_path_hits, 64u);
 }
 
 // ------------------------------------------------ bounded bit-blast caches
@@ -284,7 +241,6 @@ TEST(SolverStatsRebase, WrappingMinusUnWrapsUnderLaterAccumulate) {
   saved.checks = 5;
   saved.fast_path_hits = 2;
   saved.sat_calls = 3;
-  saved.fast_path_skipped = 1;
   saved.pushes = 3;
   saved.pops = 1;
   SolverStats at_replay_end;
@@ -296,7 +252,6 @@ TEST(SolverStatsRebase, WrappingMinusUnWrapsUnderLaterAccumulate) {
   SolverStats cumulative = at_replay_end;  // solver keeps counting from here
   cumulative.checks += 7;
   cumulative.sat_calls += 4;
-  cumulative.fast_path_skipped += 2;
   cumulative.pushes += 6;
   cumulative.pops += 5;
   SolverStats folded = base;
@@ -304,7 +259,6 @@ TEST(SolverStatsRebase, WrappingMinusUnWrapsUnderLaterAccumulate) {
   EXPECT_EQ(folded.checks, 12u);
   EXPECT_EQ(folded.fast_path_hits, 2u);
   EXPECT_EQ(folded.sat_calls, 7u);
-  EXPECT_EQ(folded.fast_path_skipped, 3u);
   EXPECT_EQ(folded.pushes, 9u);
   EXPECT_EQ(folded.pops, 6u);
 }

@@ -12,7 +12,6 @@ TEST(StatsMerge, SolverStatsSumsAllCounters) {
   a.checks = 10;
   a.fast_path_hits = 4;
   a.sat_calls = 6;
-  a.fast_path_skipped = 3;
   a.unknowns = 1;
   a.pushes = 20;
   a.pops = 18;
@@ -20,7 +19,6 @@ TEST(StatsMerge, SolverStatsSumsAllCounters) {
   b.checks = 1;
   b.fast_path_hits = 1;
   b.sat_calls = 0;
-  b.fast_path_skipped = 2;
   b.unknowns = 2;
   b.pushes = 2;
   b.pops = 2;
@@ -28,7 +26,6 @@ TEST(StatsMerge, SolverStatsSumsAllCounters) {
   EXPECT_EQ(a.checks, 11u);
   EXPECT_EQ(a.fast_path_hits, 5u);
   EXPECT_EQ(a.sat_calls, 6u);
-  EXPECT_EQ(a.fast_path_skipped, 5u);
   EXPECT_EQ(a.unknowns, 3u);
   EXPECT_EQ(a.pushes, 22u);
   EXPECT_EQ(a.pops, 20u);
@@ -46,7 +43,6 @@ TEST(StatsMerge, EngineStatsSumsAndOrsTimeout) {
   a.degraded_paths = 2;
   a.pc_cache_hits = 8;
   a.pc_cache_misses = 12;
-  a.pc_model_reuse = 2;
   a.solver.checks = 5;
   sym::EngineStats b;
   b.valid_paths = 2;
@@ -61,7 +57,6 @@ TEST(StatsMerge, EngineStatsSumsAndOrsTimeout) {
   b.timed_out = true;
   b.pc_cache_hits = 2;
   b.pc_cache_misses = 3;
-  b.pc_model_reuse = 1;
   b.solver.checks = 4;
   a += b;
   EXPECT_EQ(a.valid_paths, 5u);
@@ -76,7 +71,6 @@ TEST(StatsMerge, EngineStatsSumsAndOrsTimeout) {
   EXPECT_TRUE(a.cancelled);
   EXPECT_EQ(a.pc_cache_hits, 10u);
   EXPECT_EQ(a.pc_cache_misses, 15u);
-  EXPECT_EQ(a.pc_model_reuse, 3u);
   EXPECT_EQ(a.solver.checks, 9u);
   // timed_out and cancelled are sticky in both directions.
   sym::EngineStats c;
