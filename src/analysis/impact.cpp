@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
-#include <unordered_set>
 
 namespace meissa::analysis {
 
@@ -66,11 +64,6 @@ uint64_t mix_node_content(uint64_t h, const ir::Context& ctx,
 
 constexpr uint64_t kForeignSucc = ~uint64_t{0};   // edge leaving the region
 constexpr uint64_t kRegionBoundary = 0xE0F0ull;   // exit marker
-
-bool is_table_node(const cfg::Node& n) {
-  return n.origin.kind == cfg::OriginKind::kTableEntry ||
-         n.origin.kind == cfg::OriginKind::kTableMiss;
-}
 
 // Discovery-order BFS over one region from the instance entry (successor
 // order fixes the discovery order, so local indices are a pure function of
@@ -142,117 +135,14 @@ uint64_t region_fingerprint(const ir::Context& ctx, const cfg::Cfg& g,
   return h;
 }
 
-// The region with each expanded table collapsed to one opaque super-node.
-// Stable under pure table-configuration changes: entry/miss nodes
-// contribute only the table's name, successor lists are mapped to units
-// and deduplicated (so an N-way entry fan hashes the same for every N).
-uint64_t region_code_fingerprint(const ir::Context& ctx, const cfg::Cfg& g,
-                                 size_t k) {
-  const cfg::InstanceInfo& info = g.instances()[k];
-  std::vector<cfg::NodeId> order;
-  std::unordered_map<cfg::NodeId, uint64_t> local;
-  region_order(g, k, order, local);
-
-  // Unit assignment in discovery order: every node of table t maps to t's
-  // single unit; other nodes get their own.
-  std::unordered_map<cfg::NodeId, uint64_t> unit_of;
-  std::unordered_map<std::string, uint64_t> table_unit;
-  struct Unit {
-    bool is_table = false;
-    std::string table;                 // is_table
-    cfg::NodeId node = cfg::kNoNode;   // !is_table
-    std::vector<cfg::NodeId> members;  // discovery order
-  };
-  std::vector<Unit> units;
-  for (cfg::NodeId id : order) {
-    const cfg::Node& n = g.node(id);
-    if (is_table_node(n)) {
-      const std::string ref = g.origin_ref(id);
-      auto [it, fresh] = table_unit.emplace(ref, units.size());
-      if (fresh) {
-        units.push_back({true, ref, cfg::kNoNode, {}});
-      }
-      units[it->second].members.push_back(id);
-      unit_of.emplace(id, it->second);
-    } else {
-      unit_of.emplace(id, units.size());
-      units.push_back({false, "", id, {id}});
-    }
-  }
-
-  uint64_t h = mix_instance_meta(kOffset, ctx, info);
-  h = mix_u64(h, units.size());
-  for (const Unit& u : units) {
-    if (u.is_table) {
-      h = mix_u64(h, 1);
-      h = mix_str(h, u.table);
-    } else {
-      h = mix_u64(h, 0);
-      h = mix_node_content(h, ctx, g, u.node);
-    }
-    // Successor units over all members, deduplicated in first-appearance
-    // order, self-edges (table-internal) dropped.
-    std::vector<uint64_t> succ_units;
-    const uint64_t self = unit_of.at(u.members.front());
-    for (cfg::NodeId m : u.members) {
-      if (m == info.exit) {
-        h = mix_u64(h, kRegionBoundary);
-        continue;
-      }
-      for (cfg::NodeId s : g.node(m).succ) {
-        auto it = unit_of.find(s);
-        const uint64_t su = it != unit_of.end() ? it->second : kForeignSucc;
-        if (su == self) continue;
-        if (std::find(succ_units.begin(), succ_units.end(), su) ==
-            succ_units.end()) {
-          succ_units.push_back(su);
-        }
-      }
-    }
-    h = mix_u64(h, succ_units.size());
-    for (uint64_t su : succ_units) h = mix_u64(h, su);
-  }
-  return h;
-}
-
-// Content hash of one table's expansion inside one region: member node
-// content in discovery order, successors as member-local indices (foreign
-// = sentinel). A change confined to the expansion flips exactly this hash.
-std::unordered_map<std::string, uint64_t> table_expansion_fps(
-    const ir::Context& ctx, const cfg::Cfg& g, size_t k) {
-  std::vector<cfg::NodeId> order;
-  std::unordered_map<cfg::NodeId, uint64_t> local;
-  region_order(g, k, order, local);
-
-  std::unordered_map<std::string, std::vector<cfg::NodeId>> members;
-  for (cfg::NodeId id : order) {
-    if (is_table_node(g.node(id))) members[g.origin_ref(id)].push_back(id);
-  }
-  std::unordered_map<std::string, uint64_t> out;
-  for (const auto& [table, nodes] : members) {
-    std::unordered_map<cfg::NodeId, uint64_t> midx;
-    for (size_t i = 0; i < nodes.size(); ++i) midx.emplace(nodes[i], i);
-    uint64_t h = kOffset;
-    h = mix_u64(h, nodes.size());
-    for (cfg::NodeId id : nodes) {
-      h = mix_node_content(h, ctx, g, id);
-      const std::vector<cfg::NodeId>& succ = g.node(id).succ;
-      h = mix_u64(h, succ.size());
-      for (cfg::NodeId s : succ) {
-        auto it = midx.find(s);
-        h = mix_u64(h, it != midx.end() ? it->second : kForeignSucc);
-      }
-    }
-    out.emplace(table, h);
-  }
-  return out;
-}
-
-// The inter-pipeline glue with instances collapsed to super-nodes: a
-// traversal unit is either one glue node or one whole instance (whose
-// outgoing edges are its exit node's successors).
+// The instance inventory, then the inter-pipeline glue with instances
+// collapsed to super-nodes: a traversal unit is either one glue node or
+// one whole instance (whose outgoing edges are its exit node's
+// successors).
 uint64_t glue_fingerprint(const ir::Context& ctx, const cfg::Cfg& g) {
-  if (g.size() == 0) return kOffset;
+  uint64_t h = mix_u64(kOffset, g.instances().size());
+  for (const cfg::InstanceInfo& info : g.instances()) h = mix_str(h, info.name);
+  if (g.size() == 0) return h;
   struct Unit {
     bool is_instance = false;
     uint32_t id = 0;  // NodeId or instance index
@@ -285,7 +175,6 @@ uint64_t glue_fingerprint(const ir::Context& ctx, const cfg::Cfg& g) {
     for (cfg::NodeId s : succ_of(cur)) discover(unit_of(s));
   }
 
-  uint64_t h = kOffset;
   h = mix_u64(h, order.size());
   for (const Unit& u : order) {
     if (u.is_instance) {
@@ -300,56 +189,6 @@ uint64_t glue_fingerprint(const ir::Context& ctx, const cfg::Cfg& g) {
     for (cfg::NodeId s : succ) h = mix_u64(h, local.at(key_of(unit_of(s))));
   }
   return h;
-}
-
-// j ⇝ k reachability: reach[j][k] is true when j's exit reaches k's entry.
-std::vector<std::vector<bool>> instance_reach(const cfg::Cfg& g) {
-  const size_t n = g.instances().size();
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  for (size_t j = 0; j < n; ++j) {
-    std::vector<bool> seen(g.size(), false);
-    std::vector<cfg::NodeId> work{g.instances()[j].exit};
-    seen[g.instances()[j].exit] = true;
-    while (!work.empty()) {
-      const cfg::NodeId cur = work.back();
-      work.pop_back();
-      for (cfg::NodeId s : g.node(cur).succ) {
-        if (!seen[s]) {
-          seen[s] = true;
-          work.push_back(s);
-        }
-      }
-    }
-    for (size_t k = 0; k < n; ++k) {
-      if (k != j && seen[g.instances()[k].entry]) reach[j][k] = true;
-    }
-  }
-  return reach;
-}
-
-// Fields a node reads (expression operands for assign/assume, keys for
-// hash nodes) — the same notion analysis/lint uses.
-void node_reads(const cfg::Cfg& g, cfg::NodeId id,
-                std::unordered_set<ir::FieldId>& out) {
-  const cfg::Node& n = g.node(id);
-  if (n.is_hash) {
-    for (ir::FieldId k : n.hash.keys) out.insert(k);
-    for (ir::ExprRef e : n.hash.key_exprs) ir::collect_fields(e, out);
-    return;
-  }
-  if (n.stmt.kind == ir::StmtKind::kAssign ||
-      n.stmt.kind == ir::StmtKind::kAssume) {
-    ir::collect_fields(n.stmt.expr, out);
-  }
-}
-
-std::vector<std::string> sorted_names(const ir::Context& ctx,
-                                      const std::unordered_set<ir::FieldId>& s) {
-  std::vector<std::string> out;
-  out.reserve(s.size());
-  for (ir::FieldId f : s) out.push_back(ctx.fields.name(f));
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace
@@ -399,434 +238,16 @@ uint64_t fingerprint_graph(const ir::Context& ctx, const cfg::Cfg& g) {
 RegionFingerprints fingerprint_regions(const ir::Context& ctx,
                                        const cfg::Cfg& g) {
   RegionFingerprints out;
-  const size_t n = g.instances().size();
-  out.instances.reserve(n);
-  for (const cfg::InstanceInfo& info : g.instances()) {
-    out.instances.push_back(info.name);
-  }
-  for (size_t k = 0; k < n; ++k) {
-    const std::string& name = g.instances()[k].name;
-    out.region.emplace(name, region_fingerprint(ctx, g, k));
-    out.region_code.emplace(name, region_code_fingerprint(ctx, g, k));
-    out.table_expansion.emplace(name, table_expansion_fps(ctx, g, k));
-  }
-  const std::vector<std::vector<bool>> reach = instance_reach(g);
-  for (size_t k = 0; k < n; ++k) {
-    std::vector<std::string> ups;
-    for (size_t j = 0; j < n; ++j) {
-      if (reach[j][k]) ups.push_back(g.instances()[j].name);
-    }
-    out.upstream.emplace(g.instances()[k].name, std::move(ups));
+  for (size_t k = 0; k < g.instances().size(); ++k) {
+    out.region.emplace(g.instances()[k].name, region_fingerprint(ctx, g, k));
   }
   out.glue = glue_fingerprint(ctx, g);
-  out.whole = fingerprint_graph(ctx, g);
   return out;
 }
 
-std::unordered_map<std::string, uint64_t> fingerprint_tables(
-    const p4::RuleSet& rules) {
-  std::unordered_map<std::string, uint64_t> out;
-  auto slot = [&](const std::string& t) -> uint64_t& {
-    return out.emplace(t, kOffset).first->second;
-  };
-  // Entries fold in install order — the order is part of the
-  // configuration (it breaks full-rank ties in RuleSet::ordered_entries).
-  for (const p4::TableEntry& e : rules.entries) {
-    uint64_t& h = slot(e.table);
-    h = mix_u64(h, 1);  // entry marker
-    h = mix_u64(h, e.matches.size());
-    for (const p4::KeyMatch& m : e.matches) {
-      h = mix_u64(h, m.value);
-      h = mix_u64(h, m.mask);
-      h = mix_u64(h, static_cast<uint64_t>(m.prefix_len));
-      h = mix_u64(h, m.lo);
-      h = mix_u64(h, m.hi);
-    }
-    h = mix_str(h, e.action);
-    h = mix_u64(h, e.args.size());
-    for (uint64_t a : e.args) h = mix_u64(h, a);
-    h = mix_u64(h, static_cast<uint64_t>(static_cast<int64_t>(e.priority)));
-  }
-  for (const auto& [table, d] : rules.default_overrides) {
-    uint64_t& h = slot(table);
-    h = mix_u64(h, 2);  // default-override marker
-    h = mix_str(h, d.action);
-    h = mix_u64(h, d.args.size());
-    for (uint64_t a : d.args) h = mix_u64(h, a);
-  }
-  return out;
-}
-
-RegionDeps build_region_deps(const ir::Context& ctx, const cfg::Cfg& g) {
-  RegionDeps out;
-  const size_t n = g.instances().size();
-  std::vector<std::unordered_set<ir::FieldId>> reads(n), writes(n);
-  std::vector<std::set<std::string>> tables(n);
-  std::vector<std::unordered_map<std::string, std::unordered_set<ir::FieldId>>>
-      table_fields(n);
-  std::vector<bool> conservative(n, false);
-  // Per-node dataflow of each region, for the intra-region flow closure:
-  // a predicate couples its operands (assume(a == b) with a suspect makes
-  // b's admissible values suspect), an assign flows operands to its
-  // target, a hash flows keys to its dest.
-  struct NodeIO {
-    std::unordered_set<ir::FieldId> reads;
-    std::unordered_set<ir::FieldId> writes;
-    bool couples = false;
-  };
-  std::vector<std::vector<NodeIO>> io(n);
-  for (cfg::NodeId id = 0; id < g.size(); ++id) {
-    const cfg::Node& node = g.node(id);
-    if (node.instance < 0) continue;
-    const size_t k = static_cast<size_t>(node.instance);
-    node_reads(g, id, reads[k]);
-    NodeIO nio;
-    node_reads(g, id, nio.reads);
-    if (node.is_hash) {
-      writes[k].insert(node.hash.dest);
-      nio.writes.insert(node.hash.dest);
-      conservative[k] = true;  // opaque to the solver: unresolved dataflow
-    } else if (node.stmt.kind == ir::StmtKind::kAssign) {
-      writes[k].insert(node.stmt.target);
-      nio.writes.insert(node.stmt.target);
-    } else if (node.stmt.kind == ir::StmtKind::kAssume) {
-      nio.couples = true;
-    }
-    if (!nio.reads.empty() || !nio.writes.empty()) {
-      io[k].push_back(std::move(nio));
-    }
-    if (is_table_node(node)) {
-      const std::string ref = g.origin_ref(id);
-      tables[k].insert(ref);
-      // The table's influence surface: its match keys (assume operands)
-      // plus its action effects (assign targets + operands, hash dests).
-      std::unordered_set<ir::FieldId>& tf = table_fields[k][ref];
-      node_reads(g, id, tf);
-      if (node.is_hash) {
-        tf.insert(node.hash.dest);
-      } else if (node.stmt.kind == ir::StmtKind::kAssign) {
-        tf.insert(node.stmt.target);
-      }
-    }
-  }
-
-  // Fold the reads of glue nodes (topology guards, hand-off assigns) into
-  // every region whose entry they can reach: a glue predicate over a field
-  // some upstream region writes decides whether that region's packets
-  // reach this one — a def-use edge the region's own nodes never show.
-  std::vector<std::vector<cfg::NodeId>> preds(g.size());
-  for (cfg::NodeId id = 0; id < g.size(); ++id) {
-    for (cfg::NodeId s : g.node(id).succ) preds[s].push_back(id);
-  }
-  std::vector<std::unordered_set<ir::FieldId>> entry_reads(n);
-  for (size_t k = 0; k < n; ++k) {
-    std::vector<bool> seen(g.size(), false);
-    std::vector<cfg::NodeId> work{g.instances()[k].entry};
-    seen[g.instances()[k].entry] = true;
-    while (!work.empty()) {
-      const cfg::NodeId cur = work.back();
-      work.pop_back();
-      for (cfg::NodeId p : preds[cur]) {
-        if (!seen[p]) {
-          seen[p] = true;
-          work.push_back(p);
-        }
-      }
-    }
-    for (cfg::NodeId id = 0; id < g.size(); ++id) {
-      if (seen[id] && g.node(id).instance < 0) {
-        node_reads(g, id, entry_reads[k]);
-      }
-    }
-  }
-
-  // Glue-node dataflow, for taint propagation through hand-off assigns and
-  // coupling guards that live outside every region.
-  for (cfg::NodeId id = 0; id < g.size(); ++id) {
-    const cfg::Node& node = g.node(id);
-    if (node.instance >= 0) continue;
-    std::unordered_set<ir::FieldId> gr, gw;
-    node_reads(g, id, gr);
-    if (node.is_hash) {
-      gw.insert(node.hash.dest);
-    } else if (node.stmt.kind == ir::StmtKind::kAssign) {
-      gw.insert(node.stmt.target);
-    }
-    if (gr.empty() && gw.empty()) continue;
-    out.glue.push_back({sorted_names(ctx, gr), sorted_names(ctx, gw)});
-  }
-
-  const std::vector<std::vector<bool>> reach = instance_reach(g);
-  out.regions.resize(n);
-  for (size_t k = 0; k < n; ++k) {
-    RegionDeps::Region& r = out.regions[k];
-    r.name = g.instances()[k].name;
-    r.reads = sorted_names(ctx, reads[k]);
-    r.writes = sorted_names(ctx, writes[k]);
-    r.tables.assign(tables[k].begin(), tables[k].end());
-    r.entry_reads = sorted_names(ctx, entry_reads[k]);
-    for (const auto& [t, fs] : table_fields[k]) {
-      r.table_fields.emplace(t, sorted_names(ctx, fs));
-    }
-    r.conservative = conservative[k];
-    // Flow closure from each read field (only reads can trigger a node).
-    // Control-flow order is deliberately ignored — the order-insensitive
-    // fixpoint is a superset of every execution-order flow, so it is sound.
-    for (ir::FieldId f0 : reads[k]) {
-      std::unordered_set<ir::FieldId> s{f0};
-      bool grew = true;
-      while (grew) {
-        grew = false;
-        for (const NodeIO& nio : io[k]) {
-          bool hit = false;
-          for (ir::FieldId f : nio.reads) {
-            if (s.count(f) != 0) {
-              hit = true;
-              break;
-            }
-          }
-          if (!hit) continue;
-          for (ir::FieldId f : nio.writes) grew |= s.insert(f).second;
-          if (nio.couples) {
-            for (ir::FieldId f : nio.reads) grew |= s.insert(f).second;
-          }
-        }
-      }
-      if (s.size() > 1) {
-        r.flow.emplace(ctx.fields.name(f0), sorted_names(ctx, s));
-      }
-    }
-  }
-  for (size_t k = 0; k < n; ++k) {
-    std::vector<std::string> deps;
-    for (size_t j = 0; j < n; ++j) {
-      if (!reach[j][k]) continue;
-      bool edge = conservative[k];
-      if (!edge) {
-        auto overlaps = [&](const std::unordered_set<ir::FieldId>& a) {
-          for (ir::FieldId f : a) {
-            if (reads[k].count(f) != 0 || entry_reads[k].count(f) != 0) {
-              return true;
-            }
-          }
-          return false;
-        };
-        // writes(j) feeds k's reads; reads(j) matters too — j's predicates
-        // shape the public pre-condition k is explored under.
-        edge = overlaps(writes[j]) || overlaps(reads[j]);
-      }
-      if (edge) deps.push_back(g.instances()[j].name);
-    }
-    out.edges.emplace(g.instances()[k].name, std::move(deps));
-  }
-  return out;
-}
-
-ImpactModel build_impact_model(const ir::Context& ctx, const cfg::Cfg& g,
-                               const p4::RuleSet& rules) {
-  ImpactModel m;
-  m.fps = fingerprint_regions(ctx, g);
-  m.deps = build_region_deps(ctx, g);
-  m.tables = fingerprint_tables(rules);
-  return m;
-}
-
-ImpactDiff compute_impact(const ImpactModel& baseline,
-                          const ImpactModel& current) {
-  ImpactDiff d;
-  std::set<std::string> changed;
-  {
-    std::set<std::string> all;
-    for (const auto& [t, fp] : baseline.tables) all.insert(t);
-    for (const auto& [t, fp] : current.tables) all.insert(t);
-    for (const std::string& t : all) {
-      auto b = baseline.tables.find(t);
-      auto c = current.tables.find(t);
-      if (b == baseline.tables.end() || c == current.tables.end() ||
-          b->second != c->second) {
-        changed.insert(t);
-      }
-    }
-  }
-  d.changed_tables.assign(changed.begin(), changed.end());
-
-  if (baseline.fps.instances != current.fps.instances ||
-      baseline.fps.glue != current.fps.glue) {
-    // Structural edit: the region decomposition or the inter-pipeline glue
-    // itself changed — nothing may be reused.
-    d.full = true;
-    d.dirty = current.fps.instances;
-    return d;
-  }
-
-  // Region lookup in both models (regions are few; linear scan is fine).
-  auto region_of = [](const RegionDeps& deps,
-                      const std::string& name) -> const RegionDeps::Region* {
-    for (const RegionDeps::Region& r : deps.regions) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  };
-
-  std::unordered_set<std::string> dirty;
-  std::unordered_set<std::string> taint;
-  auto add_fields = [&](const std::vector<std::string>& fs) {
-    for (const std::string& f : fs) taint.insert(f);
-  };
-
-  // --- Seeds: fingerprint-mismatched regions and regions expanding a
-  // changed table (normally the same set — entries are region nodes).
-  // A table-only change (region_code unchanged) seeds taint with just the
-  // mismatched tables' affected fields; a code edit seeds the region's
-  // whole read+write surface.
-  for (const std::string& name : current.fps.instances) {
-    const RegionDeps::Region* rb = region_of(baseline.deps, name);
-    const RegionDeps::Region* rc = region_of(current.deps, name);
-    auto bf = baseline.fps.region.find(name);
-    auto cf = current.fps.region.find(name);
-    const bool fp_mismatch = bf == baseline.fps.region.end() ||
-                             cf == current.fps.region.end() ||
-                             bf->second != cf->second;
-    bool expands_changed = false;
-    for (const RegionDeps::Region* r : {rb, rc}) {
-      if (r == nullptr) continue;
-      for (const std::string& t : r->tables) {
-        if (changed.count(t) != 0) expands_changed = true;
-      }
-    }
-    if (!fp_mismatch && !expands_changed) continue;
-    dirty.insert(name);
-
-    auto bc = baseline.fps.region_code.find(name);
-    auto cc = current.fps.region_code.find(name);
-    const bool code_same = bc != baseline.fps.region_code.end() &&
-                           cc != current.fps.region_code.end() &&
-                           bc->second == cc->second;
-    bool attributed = false;
-    if (code_same) {
-      // Attribute the mismatch to tables whose expansion hash differs (or
-      // whose configuration changed): the change can influence behavior
-      // only through those tables' fields.
-      std::set<std::string> ts;
-      for (const RegionDeps::Region* r : {rb, rc}) {
-        if (r != nullptr) ts.insert(r->tables.begin(), r->tables.end());
-      }
-      auto eb = baseline.fps.table_expansion.find(name);
-      auto ec = current.fps.table_expansion.find(name);
-      for (const std::string& t : ts) {
-        bool differs = changed.count(t) != 0;
-        if (!differs) {
-          const uint64_t* hb = nullptr;
-          const uint64_t* hc = nullptr;
-          if (eb != baseline.fps.table_expansion.end()) {
-            auto it = eb->second.find(t);
-            if (it != eb->second.end()) hb = &it->second;
-          }
-          if (ec != current.fps.table_expansion.end()) {
-            auto it = ec->second.find(t);
-            if (it != ec->second.end()) hc = &it->second;
-          }
-          differs = hb == nullptr || hc == nullptr || *hb != *hc;
-        }
-        if (!differs) continue;
-        attributed = true;
-        for (const RegionDeps::Region* r : {rb, rc}) {
-          if (r == nullptr) continue;
-          auto it = r->table_fields.find(t);
-          if (it != r->table_fields.end()) add_fields(it->second);
-        }
-      }
-    }
-    if (!attributed) {
-      // Code edit, or a mismatch no table expansion explains: the whole
-      // region is suspect.
-      for (const RegionDeps::Region* r : {rb, rc}) {
-        if (r == nullptr) continue;
-        add_fields(r->reads);
-        add_fields(r->writes);
-      }
-    }
-  }
-
-  // --- Fixpoint over the UNION of both models (an edge or flow only the
-  // baseline had still propagates — a removed upstream write changes what
-  // reaches the reader just as an added one does).
-  std::unordered_map<std::string, std::unordered_set<std::string>> dep;
-  for (const RegionDeps* deps : {&baseline.deps, &current.deps}) {
-    for (const auto& [k, js] : deps->edges) dep[k].insert(js.begin(), js.end());
-  }
-  auto intersects = [&](const std::vector<std::string>& fs) {
-    for (const std::string& f : fs) {
-      if (taint.count(f) != 0) return true;
-    }
-    return false;
-  };
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    const size_t before = taint.size();
-    // Dirty regions push taint through their intra-region flow closures.
-    for (const std::string& name : dirty) {
-      for (const RegionDeps* deps : {&baseline.deps, &current.deps}) {
-        const RegionDeps::Region* r = region_of(*deps, name);
-        if (r == nullptr) continue;
-        std::vector<std::string> hits;
-        for (const auto& [f, out] : r->flow) {
-          if (taint.count(f) != 0) hits.push_back(f);
-        }
-        for (const std::string& f : hits) add_fields(r->flow.at(f));
-      }
-    }
-    // Glue nodes reading a tainted field couple their other fields in.
-    for (const RegionDeps* deps : {&baseline.deps, &current.deps}) {
-      for (const RegionDeps::GlueIO& gio : deps->glue) {
-        if (!intersects(gio.reads)) continue;
-        add_fields(gio.reads);
-        add_fields(gio.writes);
-      }
-    }
-    if (taint.size() != before) grew = true;
-    // A clean region turns dirty when a dirty upstream region has an edge
-    // into it AND the taint reaches its effective reads (or it has
-    // unresolved dataflow).
-    for (const std::string& name : current.fps.instances) {
-      if (dirty.count(name) != 0) continue;
-      auto it = dep.find(name);
-      if (it == dep.end()) continue;
-      bool dirty_upstream = false;
-      for (const std::string& j : it->second) {
-        if (dirty.count(j) != 0) {
-          dirty_upstream = true;
-          break;
-        }
-      }
-      if (!dirty_upstream) continue;
-      bool affected = false;
-      for (const RegionDeps* deps : {&baseline.deps, &current.deps}) {
-        const RegionDeps::Region* r = region_of(*deps, name);
-        if (r == nullptr) continue;
-        if (r->conservative || intersects(r->reads) ||
-            intersects(r->entry_reads)) {
-          affected = true;
-        }
-      }
-      if (affected) {
-        dirty.insert(name);
-        grew = true;
-      }
-    }
-  }
-
-  for (const std::string& name : current.fps.instances) {
-    if (dirty.count(name) != 0) {
-      d.dirty.push_back(name);
-    } else {
-      d.clean.push_back(name);
-    }
-  }
-  d.tainted_fields.assign(taint.begin(), taint.end());
-  std::sort(d.tainted_fields.begin(), d.tainted_fields.end());
-  return d;
+uint64_t unit_fingerprint(const RegionFingerprints& fps,
+                          const std::string& instance) {
+  return mix_u64(mix_u64(kOffset, fps.region.at(instance)), fps.glue);
 }
 
 }  // namespace meissa::analysis

@@ -1,181 +1,53 @@
-// Static change-impact analysis (ROADMAP "incremental re-testing").
-//
-// Production rule sets churn continuously; re-exploring the whole program
-// for every update wastes nearly all of its solver work on regions the
-// change cannot influence. This module provides the static machinery to
-// decide — soundly — which pipeline regions a given rule update or program
-// edit can affect:
+// Program content fingerprints: the identity summary units are replayed
+// and checkpoints are resumed by.
 //
 //   1. *Region fingerprints*: a deterministic content hash per pipeline
-//      instance subgraph (and one for the inter-pipeline glue), hashed by
-//      stable node content and region-local discovery indices — never by
-//      NodeId or FieldId, both of which are interning-/build-order
-//      artifacts. Two builds of the same program agree on every
-//      fingerprint even when their contexts interned fields in different
-//      orders.
-//   2. A *def-use dependency graph* over regions: which fields each region
-//      reads and writes (assign targets, hash dests, predicate and key
-//      operands), with the reads of inter-pipeline glue nodes folded into
-//      every region they guard. Region k depends on upstream region j when
-//      j's exit reaches k's entry AND (writes(j) ∪ reads(j)) overlaps
-//      reads(k) — reads(j) is included because j's *predicates* constrain
-//      the public pre-condition k is explored under, not only j's
-//      assignments. Regions with unresolved dataflow (hash nodes are
-//      opaque to the solver) get conservative edges from every upstream
-//      region.
-//   3. An *invalidation engine*: diff two models (baseline vs. current)
-//      and compute the transitively-dirty region set — seeded by
-//      fingerprint mismatches, closed over the UNION of both models'
-//      edges (an edge that existed only in the baseline still propagates:
-//      a *removed* upstream write is as much a change as an added one).
+//      instance subgraph, hashed by stable node content and region-local
+//      discovery indices — never by NodeId or FieldId, both of which are
+//      interning-/build-order artifacts. Two builds of the same program
+//      agree on every fingerprint even when their contexts interned fields
+//      in different orders.
+//   2. A *glue* hash over the inter-pipeline glue (topology guards,
+//      hand-off assigns) and the instance inventory.
+//   3. A *whole-graph* hash over absolute node ids, for artifacts tied to
+//      exact node numbering.
 //
-// Consumers: the summary pass reuses a clean region's SummaryUnit
-// verbatim, the checkpoint layer keys work units by region fingerprint
-// instead of a whole-CFG hash, and driver::IncrementalSession reports
-// delta coverage per update.
+// Consumers: summary::summarize() keys each SummaryUnit by its region's
+// unit_fingerprint (early cutoff, see SummaryHooks::resume), and the
+// checkpoint layer gates final-DFS shard frontiers by fingerprint_graph.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "cfg/cfg.hpp"
-#include "p4/rules.hpp"
 
 namespace meissa::analysis {
 
-// Content fingerprints of one build of one program. All maps are keyed by
-// instance name (the only cross-run-stable region identity).
+// Content fingerprints of one build of one program.
 struct RegionFingerprints {
-  // Instance names in graph order (a change in count or order is a
-  // structural edit — everything is dirty).
-  std::vector<std::string> instances;
-  // Per-region content hash: node statements/hashes/origins rendered with
+  // Per-region content hash keyed by instance name (the only cross-run-
+  // stable region identity): node statements/hashes/origins rendered with
   // field *names*, successors as region-local discovery indices.
   std::unordered_map<std::string, uint64_t> region;
-  // Like `region`, but with each expanded table collapsed to one opaque
-  // super-node (entry/miss nodes contribute only the table's name). Two
-  // builds agree on region_code iff the region differs at most in table
-  // *configuration* — the fingerprint that lets the invalidation engine
-  // treat a rule update as a table-only change and contaminate downstream
-  // regions through the table's affected fields instead of the whole
-  // region's write set.
-  std::unordered_map<std::string, uint64_t> region_code;
-  // Per region, per expanded table: a content hash of just that table's
-  // expansion (entry/miss nodes). A region fingerprint mismatch with an
-  // unchanged region_code is attributed to the tables whose expansion
-  // hashes differ — any change confined to a table's expansion can only
-  // influence downstream behavior through those nodes' fields.
-  std::unordered_map<std::string, std::unordered_map<std::string, uint64_t>>
-      table_expansion;
-  // Names of upstream regions (j's exit reaches this region's entry).
-  std::unordered_map<std::string, std::vector<std::string>> upstream;
-  // The inter-pipeline glue (topology guards, hand-off assigns) with
-  // instances collapsed to single super-nodes.
+  // The instance inventory (names in graph order) and the inter-pipeline
+  // glue with instances collapsed to single super-nodes.
   uint64_t glue = 0;
-  // Whole-graph hash over absolute node ids — the strictest key, gating
-  // artifacts tied to exact node numbering (final-DFS shard frontiers).
-  uint64_t whole = 0;
-
-  bool empty() const noexcept {
-    return instances.empty() && glue == 0 && whole == 0;
-  }
 };
 
-// Fingerprints every region of `g` plus the glue and the whole graph.
+// Fingerprints every region of `g` plus the glue.
 RegionFingerprints fingerprint_regions(const ir::Context& ctx,
                                        const cfg::Cfg& g);
 
-// Whole-graph content hash (the `whole` component alone): every node's
-// statement, hash, successors (absolute ids) and exits, plus instance
-// metadata — rendered with field names so the hash is stable across
-// processes.
+// The fingerprint of `instance`'s SummaryUnit: its region hash mixed with
+// the glue hash.
+uint64_t unit_fingerprint(const RegionFingerprints& fps,
+                          const std::string& instance);
+
+// Whole-graph content hash: every node's statement, hash, successors
+// (absolute ids) and exits, plus instance metadata — rendered with field
+// names so the hash is stable across processes.
 uint64_t fingerprint_graph(const ir::Context& ctx, const cfg::Cfg& g);
-
-// Per-table configuration hash: entries in install order (matches, action,
-// args, priority) plus the table's default override, if any. Tables are
-// those mentioned by `rules`; a table absent here and present in the other
-// run's map counts as changed.
-std::unordered_map<std::string, uint64_t> fingerprint_tables(
-    const p4::RuleSet& rules);
-
-// The def-use dependency graph over regions.
-struct RegionDeps {
-  struct Region {
-    std::string name;
-    std::vector<std::string> reads;   // sorted field names
-    std::vector<std::string> writes;  // sorted field names
-    std::vector<std::string> tables;  // tables expanded inside this region
-    // Reads of the inter-pipeline glue nodes that can reach this region's
-    // entry (topology guards deciding whether packets get here at all) —
-    // folded into the effective read set for edge and taint gating.
-    std::vector<std::string> entry_reads;
-    // Per expanded table: the fields its entry/miss nodes read or write
-    // (match keys + action effects). A config change to the table can
-    // alter downstream-visible behavior only through these.
-    std::unordered_map<std::string, std::vector<std::string>> table_fields;
-    // Intra-region taint flow closure: flow[f] = the fields this region's
-    // own dataflow contaminates once f is suspect (assign operands flow to
-    // targets, hash keys to dests, predicates couple their operands).
-    // Only read fields that contaminate beyond themselves get entries.
-    std::unordered_map<std::string, std::vector<std::string>> flow;
-    // Unresolved dataflow inside the region (hash nodes are opaque): the
-    // region conservatively depends on every upstream region.
-    bool conservative = false;
-  };
-  std::vector<Region> regions;  // instance order
-  // edges[k] = upstream regions k depends on (def-use gated, see header).
-  std::unordered_map<std::string, std::vector<std::string>> edges;
-  // Dataflow of each glue node (reads/writes), for taint propagation
-  // through hand-off assigns and coupling guards outside any region.
-  struct GlueIO {
-    std::vector<std::string> reads;
-    std::vector<std::string> writes;
-  };
-  std::vector<GlueIO> glue;
-};
-
-RegionDeps build_region_deps(const ir::Context& ctx, const cfg::Cfg& g);
-
-// Everything the invalidation engine needs about one build.
-struct ImpactModel {
-  RegionFingerprints fps;
-  RegionDeps deps;
-  std::unordered_map<std::string, uint64_t> tables;
-};
-
-ImpactModel build_impact_model(const ir::Context& ctx, const cfg::Cfg& g,
-                               const p4::RuleSet& rules);
-
-// The invalidation verdict for one update.
-struct ImpactDiff {
-  // Structural change (instance inventory or glue differs): every region
-  // is dirty and nothing may be reused.
-  bool full = false;
-  std::vector<std::string> dirty;  // instance order
-  std::vector<std::string> clean;  // instance order
-  std::vector<std::string> changed_tables;  // sorted
-  // The taint set the propagation converged on: fields through which the
-  // change can influence downstream regions (sorted; reporting aid).
-  std::vector<std::string> tainted_fields;
-};
-
-// Diffs two models and computes the minimal transitively-dirty region
-// set. Seeds are fingerprint mismatches (a region expanding a changed
-// table always mismatches — entries are region nodes). Propagation is
-// field-granular: a table-only change (region_code unchanged) injects only
-// the changed tables' affected fields into the taint set; a code edit
-// injects the region's whole read+write surface. Taint then grows to a
-// fixpoint: every dirty region pushes taint through its intra-region flow
-// closure, any glue node reading a tainted field couples its other fields
-// in (guards correlate fields across regions), and a clean region k turns
-// dirty iff some already-dirty region has a dependency edge into k (union
-// of both models' edges — a removed upstream write still propagates) AND
-// the taint set intersects k's effective reads (or k is conservative).
-// Edges are load-bearing: deleting one breaks soundness, which the tests
-// exploit.
-ImpactDiff compute_impact(const ImpactModel& baseline,
-                          const ImpactModel& current);
 
 }  // namespace meissa::analysis

@@ -331,9 +331,8 @@ LintResult lint_cfg(const ir::Context& ctx, const cfg::Cfg& g) {
   // ---- unused-write: a flow-reachable, non-synthetic pipeline node
   // writes a header/metadata field that no node downstream of it — in any
   // region or the inter-pipeline glue — ever reads, and (for header
-  // content) that no downstream deparser emits. Same def-use notion as
-  // analysis/impact's dependency graph: a write nothing consumes is
-  // either dead code or a missing read. Validity bits, '@' summary
+  // content) that no downstream deparser emits: a write nothing consumes
+  // is either dead code or a missing read. Validity bits, '@' summary
   // snapshots and architecture intrinsics (ports, drop flags — consumed
   // outside the program) are out of scope.
   {

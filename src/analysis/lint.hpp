@@ -28,8 +28,7 @@
 //   unused-write                a header/metadata field written by a
 //                               reachable pipeline node that no downstream
 //                               node ever reads and no downstream deparser
-//                               emits — dead code or a missing read (the
-//                               def-use notion shared with analysis/impact)
+//                               emits — dead code or a missing read
 //
 // Diagnostics are deterministic and deduplicated: a finding reachable via
 // multiple CFG paths emits once, keyed by (detector, node, field), sorted

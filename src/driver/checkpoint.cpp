@@ -19,7 +19,9 @@ constexpr char kMagic[8] = {'M', '4', 'C', 'K', 'P', 'T', '0', '1'};
 // v3: payload carries region fingerprints (graph/glue/per-region) and the
 // content key covers options only — readers of v2 and earlier reject.
 // v4: drops the fast-path-skip and model-reuse counters.
-constexpr uint32_t kVersion = 4;
+// v5: each unit carries its fingerprint; the payload keeps only the
+// whole-graph hash (glue and per-region hashes are gone).
+constexpr uint32_t kVersion = 5;
 
 // --- primitive byte streams (little-endian) -------------------------------
 
@@ -317,6 +319,7 @@ sym::ShardProgress get_shard(ByteReader& r, ir::Context& ctx) {
 void put_unit(ByteWriter& w, const ir::Context& ctx,
               const summary::SummaryUnit& u) {
   w.str(u.instance);
+  w.u64(u.fingerprint);
   w.u64(u.paths_after);
   w.u64(u.smt_checks);
   w.u64(u.smt_skipped);
@@ -334,6 +337,7 @@ void put_unit(ByteWriter& w, const ir::Context& ctx,
 summary::SummaryUnit get_unit(ByteReader& r, ir::Context& ctx) {
   summary::SummaryUnit u;
   u.instance = r.str();
+  u.fingerprint = r.u64();
   u.paths_after = r.u64();
   u.smt_checks = r.u64();
   u.smt_skipped = r.u64();
@@ -401,18 +405,7 @@ uint32_t crc32(const uint8_t* data, size_t n) {
 std::vector<uint8_t> serialize_checkpoint(const ir::Context& ctx,
                                           const CheckpointData& data) {
   ByteWriter w;
-  // Region fingerprints first: load() filters units against them before
-  // anything else is interpreted.
   w.u64(data.graph_fp);
-  w.u64(data.glue_fp);
-  std::vector<std::pair<std::string, uint64_t>> fps(data.region_fps.begin(),
-                                                    data.region_fps.end());
-  std::sort(fps.begin(), fps.end());
-  w.u64(fps.size());
-  for (const auto& [name, fp] : fps) {
-    w.str(name);
-    w.u64(fp);
-  }
   // Units in sorted instance order: the file bytes are a pure function of
   // the state, not of map iteration order.
   std::vector<const summary::SummaryUnit*> units;
@@ -434,13 +427,6 @@ CheckpointData deserialize_checkpoint(ir::Context& ctx,
   ByteReader r{payload.data(), payload.data() + payload.size()};
   CheckpointData data;
   data.graph_fp = r.u64();
-  data.glue_fp = r.u64();
-  uint64_t nfps = r.u64();
-  for (uint64_t i = 0; i < nfps; ++i) {
-    std::string name = r.str();
-    uint64_t fp = r.u64();
-    data.region_fps.emplace(std::move(name), fp);
-  }
   uint64_t nunits = r.u64();
   for (uint64_t i = 0; i < nunits; ++i) {
     summary::SummaryUnit u = get_unit(r, ctx);
@@ -495,11 +481,10 @@ std::optional<CheckpointData> decode_checkpoint_file(
 uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
                                 const GenOptions& opts) {
   uint64_t h = kFnvOffset;
-  // The instance inventory only — program *content* lives in the payload's
-  // per-region fingerprints (analysis::fingerprint_regions), so an edited
-  // region degrades the checkpoint instead of discarding it. The whole-CFG
-  // hash that used to live here moved verbatim to
-  // analysis::fingerprint_graph and now gates just the shard frontiers.
+  // The instance inventory only — program *content* lives in the payload
+  // (unit fingerprints, and analysis::fingerprint_graph gating the shard
+  // frontiers), so an edited region degrades the checkpoint instead of
+  // discarding it.
   h = key_u64(h, g.instances().size());
   for (const cfg::InstanceInfo& info : g.instances()) {
     h = key_str(h, info.name);
@@ -526,23 +511,16 @@ uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
 CheckpointManager::CheckpointManager(ir::Context& ctx, std::string dir,
                                      uint64_t content_key,
                                      util::FaultInjector* fault,
-                                     analysis::RegionFingerprints fps)
+                                     uint64_t graph_fp)
     : ctx_(ctx),
       dir_(std::move(dir)),
       path_(dir_ + "/checkpoint.bin"),
       key_(content_key),
       fault_(fault),
-      fps_(std::move(fps)) {
+      graph_fp_(graph_fp) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best-effort; write fails
-  stamp_fps_locked();
-}
-
-void CheckpointManager::stamp_fps_locked() {
-  data_.graph_fp = fps_.whole;
-  data_.glue_fp = fps_.glue;
-  data_.region_fps.clear();
-  for (const auto& [name, fp] : fps_.region) data_.region_fps.emplace(name, fp);
+  data_.graph_fp = graph_fp_;
 }
 
 bool CheckpointManager::load(CheckpointData& out) {
@@ -553,37 +531,14 @@ bool CheckpointManager::load(CheckpointData& out) {
     std::optional<CheckpointData> data =
         decode_checkpoint_file(ctx_, key_, bytes);
     if (!data.has_value()) continue;
-    if (!fps_.empty()) {
-      // Per-region filtering: a summary unit is reusable only if its own
-      // region, every upstream region (its public pre-condition depends on
-      // them), and the inter-pipeline glue are byte-for-byte the program
-      // the unit was computed for. Shard frontiers embed absolute node
-      // ids, so they additionally require an identical whole-graph hash.
-      auto region_matches = [&](const std::string& name) {
-        auto cur = fps_.region.find(name);
-        auto old = data->region_fps.find(name);
-        return cur != fps_.region.end() && old != data->region_fps.end() &&
-               cur->second == old->second;
-      };
-      auto unit_reusable = [&](const std::string& name) {
-        if (data->glue_fp != fps_.glue || !region_matches(name)) return false;
-        auto ups = fps_.upstream.find(name);
-        if (ups == fps_.upstream.end()) return false;
-        for (const std::string& u : ups->second) {
-          if (!region_matches(u)) return false;
-        }
-        return true;
-      };
-      for (auto it = data->units.begin(); it != data->units.end();) {
-        it = unit_reusable(it->first) ? std::next(it) : data->units.erase(it);
-      }
-      if (data->graph_fp != fps_.whole) data->shards.clear();
-      if (data->units.empty() && data->shards.empty()) continue;
-    }
+    // Shard frontiers embed absolute node ids. Units are kept whatever
+    // their fingerprints: summarize() decides which of them replay.
+    if (data->graph_fp != graph_fp_) data->shards.clear();
+    if (data->units.empty() && data->shards.empty()) continue;
     out = std::move(*data);
     data_ = out;
     // Subsequent persists describe the CURRENT program, not the loaded one.
-    stamp_fps_locked();
+    data_.graph_fp = graph_fp_;
     return true;
   }
   return false;

@@ -22,13 +22,13 @@
 // Program identity is two-tier. The content key fingerprints every
 // output-affecting *option* (plus the instance inventory): a checkpoint
 // from a different configuration is rejected wholesale, not misapplied.
-// Program *content* is tracked per region (analysis/impact fingerprints,
-// stored in the payload): on load, a summary unit survives only if its
-// region, every upstream region, and the glue hash-match the current
-// build, and DFS shard frontiers survive only under an identical whole-
-// graph hash (frontiers embed absolute node ids). A localized edit
-// therefore invalidates just the mismatched regions' work units instead of
-// the entire checkpoint.
+// Program *content* is not in the key. Each summary unit carries its own
+// fingerprint, and summary::summarize() decides which loaded units replay
+// (early cutoff, see SummaryHooks::resume); DFS shard frontiers embed
+// absolute node ids, so they survive only under an identical whole-graph
+// hash (analysis::fingerprint_graph, stored in the payload). A localized
+// edit therefore re-explores just the affected regions instead of
+// discarding the entire checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/impact.hpp"
 #include "summary/summary.hpp"
 #include "sym/engine.hpp"
 #include "util/faultinject.hpp"
@@ -59,18 +58,15 @@ inline uint64_t fnv1a(uint64_t h, const void* data, size_t n) {
 
 // Everything a killed run needs to continue where it stopped.
 struct CheckpointData {
-  // Encoded pipelines, keyed by instance name (summary resume skips their
-  // explore phase entirely).
+  // Encoded pipelines, keyed by instance name (summary resume skips the
+  // explore phase of those whose fingerprints still hold).
   std::unordered_map<std::string, summary::SummaryUnit> units;
   // Final-DFS shard progress, indexed by shard. Empty until the DFS starts.
   std::vector<sym::ShardProgress> shards;
-  // Region fingerprints of the program this checkpoint was written for
-  // (analysis/impact): whole-graph hash gating shard frontiers, glue hash,
-  // and one content hash per region keyed by instance name. All zero/empty
-  // when the writer had no fingerprints (legacy callers).
+  // Whole-graph hash of the program this checkpoint was written for
+  // (analysis::fingerprint_graph), gating the shard frontiers. Zero when
+  // the writer had none.
   uint64_t graph_fp = 0;
-  uint64_t glue_fp = 0;
-  std::unordered_map<std::string, uint64_t> region_fps;
 };
 
 // Serialized payload (no file header) — exposed for tests.
@@ -94,9 +90,8 @@ struct GenOptions;  // driver/generator.hpp
 // instance inventory. Thread count, checkpoint cadence and static pruning
 // are deliberately excluded: they never change the emitted templates, and
 // a checkpoint must be resumable under a different thread count. Program
-// *content* is intentionally absent — it is tracked per region by the
-// payload fingerprints so a localized edit degrades, not discards, the
-// checkpoint.
+// *content* is intentionally absent — units carry their own fingerprints
+// so a localized edit degrades, not discards, the checkpoint.
 uint64_t checkpoint_content_key(const ir::Context& ctx, const cfg::Cfg& g,
                                 const GenOptions& opts);
 
@@ -110,18 +105,16 @@ class CheckpointManager {
  public:
   // Creates `dir` if missing. `fault`, when set, is consulted at the
   // "checkpoint.serialize" (execution) and "checkpoint.write" (data)
-  // sites. `fps`, when non-empty, are the current build's region
-  // fingerprints: they are stamped into every write and used by load() to
-  // filter stale work units (empty = accept whole checkpoints, the
-  // pre-impact behavior).
+  // sites. `graph_fp` is the current build's whole-graph hash: it is
+  // stamped into every write and gates the loaded shard frontiers.
   CheckpointManager(ir::Context& ctx, std::string dir, uint64_t content_key,
                     util::FaultInjector* fault = nullptr,
-                    analysis::RegionFingerprints fps = {});
+                    uint64_t graph_fp = 0);
 
   // Loads the newest valid checkpoint (current file, else `.prev`) into
-  // `out`, dropping work units whose region fingerprints (or whose
-  // upstream regions' fingerprints) no longer match the current build.
-  // False when neither file validates or nothing survives filtering.
+  // `out`, dropping the shard frontiers when the whole-graph hash no
+  // longer matches the current build. False when neither file validates
+  // or nothing is left to resume.
   bool load(CheckpointData& out);
 
   // Records one encoded pipeline (summary wave boundary) and persists.
@@ -138,16 +131,13 @@ class CheckpointManager {
 
  private:
   void persist_locked();
-  // Copies fps_ into data_'s fingerprint fields (writes always carry the
-  // current build's fingerprints).
-  void stamp_fps_locked();
 
   ir::Context& ctx_;
   std::string dir_;
   std::string path_;  // dir_ + "/checkpoint.bin"
   uint64_t key_;
   util::FaultInjector* fault_;
-  analysis::RegionFingerprints fps_;
+  uint64_t graph_fp_;
   mutable std::mutex mu_;
   CheckpointData data_;
   uint64_t writes_ = 0;

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "analysis/dataflow.hpp"
+#include "analysis/impact.hpp"
 #include "driver/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -40,9 +41,9 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
 
   // Crash safety: checkpoint manager + the prior run's state, when asked
   // to resume. The content key guards against applying a checkpoint from
-  // a different option set — load() simply finds nothing — while region
-  // fingerprints filter stale work units when the *program* changed, so a
-  // localized edit keeps the untouched regions' summaries.
+  // a different option set — load() simply finds nothing — while unit
+  // fingerprints let the summary replay just the regions a changed
+  // *program* left intact, and the whole-graph hash gates the frontiers.
   std::unique_ptr<CheckpointManager> ckpt;
   CheckpointData prior;
   bool have_prior = false;
@@ -50,7 +51,7 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
     const uint64_t key = checkpoint_content_key(ctx_, original_, opts_);
     ckpt = std::make_unique<CheckpointManager>(
         ctx_, opts_.checkpoint_dir, key, opts_.fault,
-        analysis::fingerprint_regions(ctx_, original_));
+        analysis::fingerprint_graph(ctx_, original_));
     if (opts_.resume) {
       have_prior = ckpt->load(prior);
       stats_.resumed = have_prior;

@@ -1,7 +1,6 @@
 #include "driver/incremental.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -93,39 +92,21 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   span.arg("run", runs_);
 
   // The session's own summary hooks: capture every unit (for the next
-  // run's replay) and hand the previous run's clean units back as resume
-  // input. Valid only because checkpoint_dir is empty — the generator
-  // installs its own hooks otherwise.
+  // run's replay) and hand all of the previous run's units back as resume
+  // input; the summary decides which of them replay. Valid only because
+  // checkpoint_dir is empty — the generator installs its own hooks
+  // otherwise.
   std::unordered_map<std::string, summary::SummaryUnit> captured;
   summary::SummaryHooks hooks;
   hooks.on_unit = [&](size_t, const summary::SummaryUnit& u) {
     captured[u.instance] = u;
   };
+  if (!units_.empty()) hooks.resume = &units_;
   GenOptions gopts = opts_.gen;
   gopts.summary_hooks = &hooks;
   gopts.shared_pc_cache = &cache_;
 
   Generator gen(ctx_, dp_, rules, gopts);
-
-  // Change impact: fingerprint + def-use model of the current build,
-  // diffed against the previous run's.
-  analysis::ImpactModel model =
-      analysis::build_impact_model(ctx_, gen.original_graph(), rules);
-  if (opts_.mutate_model) opts_.mutate_model(model);
-  std::unordered_map<std::string, summary::SummaryUnit> resume_units;
-  if (model_.has_value()) {
-    report.impact = analysis::compute_impact(*model_, model);
-    for (const std::string& name : report.impact.clean) {
-      auto it = units_.find(name);
-      if (it != units_.end()) resume_units.emplace(name, it->second);
-    }
-  } else {
-    // Baseline: everything dirty, nothing to reuse.
-    report.impact.full = true;
-    report.impact.dirty = model.fps.instances;
-  }
-  if (!resume_units.empty()) hooks.resume = &resume_units;
-
   report.templates = gen.generate();
   report.stats = gen.stats();
   report.summaries_reused = report.stats.resumed_pipelines;
@@ -133,12 +114,10 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   // per-pipeline table stays meaningful); those checks were never paid
   // this run and must not count against the update.
   uint64_t replayed_checks = 0;
-  {
-    std::unordered_set<std::string> reused;
-    for (const auto& [name, u] : resume_units) reused.insert(name);
-    for (const summary::PipelineSummary& p : report.stats.pipelines) {
-      if (reused.count(p.instance) != 0) replayed_checks += p.smt_checks;
-    }
+  for (const summary::PipelineSummary& p : report.stats.pipelines) {
+    (p.resumed ? report.impact.clean : report.impact.dirty)
+        .push_back(p.instance);
+    if (p.resumed) replayed_checks += p.smt_checks;
   }
   report.smt_checks = report.stats.smt_checks >= replayed_checks
                           ? report.stats.smt_checks - replayed_checks
@@ -176,17 +155,6 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
     report.removed += prev_sigs_.size() - j;
   }
 
-  // Per-region path counts, replay-flagged. Clean regions' counts come
-  // from the replayed unit — the summary reports them either way.
-  {
-    std::unordered_set<std::string> reused;
-    for (const auto& [name, u] : resume_units) reused.insert(name);
-    for (const summary::PipelineSummary& p : report.stats.pipelines) {
-      report.regions.push_back(
-          {p.instance, p.paths_after, reused.count(p.instance) != 0});
-    }
-  }
-
   if (obs::metrics_enabled()) {
     obs::metrics()
         .counter("impact.regions_dirty")
@@ -205,7 +173,6 @@ UpdateReport IncrementalSession::run(const p4::RuleSet& rules) {
   span.arg("removed", report.removed);
 
   units_ = std::move(captured);
-  model_ = std::move(model);
   report.coverage_sigs = sigs;
   prev_sigs_ = std::move(sigs);
   ++runs_;

@@ -5,9 +5,11 @@
 // cannot influence. IncrementalSession holds the reusable state across
 // runs of the *same data plane* under evolving rules:
 //
-//   * the per-region SummaryUnits of the last run — replayed verbatim
-//     (summary resume) for every region the change-impact analysis
-//     (analysis/impact) proves clean, so only dirty regions re-explore;
+//   * the per-region SummaryUnits of the last run, all handed back to the
+//     summary as resume input: a region replays its unit verbatim when its
+//     fingerprint still matches and no upstream region's output changed
+//     (early cutoff, summary::SummaryHooks::resume), so only regions the
+//     update can reach re-explore;
 //   * a shared path-condition verdict cache (smt/cache.hpp) warmed by the
 //     baseline — the final DFS of an update answers repeated checks from
 //     the cache instead of the backend (hash-consing keeps unchanged
@@ -18,22 +20,20 @@
 // Soundness bar (enforced by the determinism suite and the
 // incremental-smoke CI job): templates after an incremental update are
 // byte-identical to a from-scratch regeneration of the updated program.
-// That holds because (a) a clean region's replayed unit is exactly what
-// re-exploring it would produce — its fingerprint, its upstream regions'
-// fingerprints, and the glue are unchanged, and the summary encodes a
-// unit from its own paths alone; and (b) cached verdicts are semantic
-// properties of their conjunct sets (see smt/cache.hpp), so cache hits
-// never change branch decisions. Everything reused is keyed by content,
-// never by "the rules looked similar".
+// That holds because (a) a replayed unit is exactly what re-exploring its
+// region would produce — its code and the glue are unchanged (fingerprint)
+// and so is every upstream region's output, which is all its public
+// pre-condition is computed from, and the summary encodes a unit from its
+// own paths alone; and (b) cached verdicts are semantic properties of
+// their conjunct sets (see smt/cache.hpp), so cache hits never change
+// branch decisions. Everything reused is keyed by content, never by "the
+// rules looked similar".
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/impact.hpp"
 #include "driver/generator.hpp"
 
 namespace meissa::driver {
@@ -44,19 +44,17 @@ struct IncrementalOptions {
   // checkpoint_dir (the session holds state in memory; the generator's
   // checkpoint hooks would displace the session's summary hooks).
   GenOptions gen;
-  // Test hook: mutates the freshly-built impact model before it is diffed
-  // and stored. The conservative-edge soundness tests delete dependency
-  // edges here to prove the edges are load-bearing — with an edge removed,
-  // incremental output must *differ* from full regeneration.
-  std::function<void(analysis::ImpactModel&)> mutate_model;
 };
 
 // What one run (baseline or update) produced.
 struct UpdateReport {
   int run = 0;  // 0 = baseline, then 1, 2, ... per update
-  // The invalidation verdict vs the previous run (baseline: full, all
-  // regions dirty).
-  analysis::ImpactDiff impact;
+  // Regions re-explored (dirty) and replayed from the previous run's
+  // units (clean), each in instance order. Baseline: all dirty.
+  struct {
+    std::vector<std::string> dirty;
+    std::vector<std::string> clean;
+  } impact;
   // Regions whose summary explore phase was skipped by unit replay.
   uint64_t summaries_reused = 0;
   // Delta coverage vs the previous run, over semantic template signatures
@@ -65,12 +63,6 @@ struct UpdateReport {
   uint64_t added = 0;
   uint64_t removed = 0;
   uint64_t unchanged = 0;
-  struct RegionPaths {
-    std::string region;
-    uint64_t paths = 0;   // summarized paths in this region
-    bool reused = false;  // replayed from the previous run's unit
-  };
-  std::vector<RegionPaths> regions;  // instance order
   uint64_t smt_checks = 0;     // backend checks this run actually paid
   uint64_t pc_cache_hits = 0;  // checks answered by the shared cache
   double seconds = 0;
@@ -91,8 +83,8 @@ class IncrementalSession {
                      IncrementalOptions opts = {});
 
   // Generates for `rules`: the first call is the baseline (everything
-  // dirty), each later call an incremental update reusing clean-region
-  // summaries and cached verdicts.
+  // dirty), each later call an incremental update replaying the summaries
+  // early cutoff allows and reusing cached verdicts.
   UpdateReport run(const p4::RuleSet& rules);
 
   int runs() const { return runs_; }
@@ -116,7 +108,6 @@ class IncrementalSession {
   // precondition contract (all runs assert the same GenOptions::assumes).
   smt::PathCondCache cache_;
   std::unordered_map<std::string, summary::SummaryUnit> units_;
-  std::optional<analysis::ImpactModel> model_;
   std::vector<std::string> prev_sigs_;  // sorted coverage signatures
   int runs_ = 0;
 };

@@ -21,11 +21,6 @@ std::string TestReport::str() const {
     os << ", " << gen.smt_calls_skipped << " skipped by static analysis";
   }
   os << ")\n";
-  if (gen.pc_cache_hits > 0 || gen.pc_cache_misses > 0) {
-    os << "  solver cache: " << gen.pc_cache_hits << " hit(s), "
-       << gen.pc_cache_misses << " miss(es)";
-    os << "\n";
-  }
   if (gen.degraded_paths > 0) {
     os << "  coverage: " << gen.exact_paths << " exact + "
        << gen.degraded_paths << " degraded path(s) (" << gen.smt_unknowns
@@ -88,8 +83,6 @@ std::string TestReport::to_json() const {
   os << ",\"exact_paths\":" << gen.exact_paths;
   os << ",\"degraded_paths\":" << gen.degraded_paths;
   os << ",\"smt_unknowns\":" << gen.smt_unknowns;
-  os << ",\"pc_cache_hits\":" << gen.pc_cache_hits;
-  os << ",\"pc_cache_misses\":" << gen.pc_cache_misses;
   os << ",\"validate_obligations\":" << gen.validate_obligations;
   os << ",\"validate_unsat\":" << gen.validate_unsat;
   os << ",\"validate_unproven\":" << gen.validate_unproven;

@@ -103,10 +103,9 @@ class Fuzzer {
   sim::CoverageMap cov_;        // the target's hits over one batch
   sim::CoverageMap input_cov_;  // one input's counts, replayed from cov_
   std::vector<uint8_t> virgin_;
-  // Work counters for the metrics snapshot: touched entries handed to
-  // merge_new_coverage, and mutation batches scored input by input.
+  // Work counter for the metrics snapshot: touched entries handed to
+  // merge_new_coverage.
   uint64_t entries_scored_ = 0;
-  uint64_t batches_rescored_ = 0;
   sim::ExecArena tgt_arena_;
   sim::ExecArena ref_arena_;
   std::vector<sim::DeviceOutput> tgt_out_;

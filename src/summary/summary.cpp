@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "analysis/dataflow.hpp"
+#include "analysis/impact.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -466,7 +467,6 @@ struct InstanceWork {
   std::unordered_map<ir::FieldId, ir::ExprRef> seeds;
   // (@field, field) pairs, in seeding order, replayed into the encoder.
   std::vector<std::pair<ir::FieldId, ir::FieldId>> seed_snaps;
-  bool resumed = false;  // restored from SummaryHooks::resume
 };
 
 // Pipeline dependency: k depends on j when j's exit reaches k's entry in
@@ -497,6 +497,33 @@ std::vector<std::vector<size_t>> instance_deps(const cfg::Cfg& g) {
   return deps;
 }
 
+// Equal explore output: everything encode() splices. PathResult::path is
+// left out — encode never reads it, and absolute node ids shift whenever
+// any table's expansion changes size. Expressions are hash-consed, so
+// pointer equality is structural equality.
+bool same_output(const SummaryUnit& a, const SummaryUnit& b) {
+  auto same_obligation = [](const sym::HashObligation& x,
+                            const sym::HashObligation& y) {
+    return x.placeholder == y.placeholder && x.algo == y.algo &&
+           x.key_exprs == y.key_exprs && x.key_widths == y.key_widths;
+  };
+  auto same_path = [&](const sym::PathResult& x, const sym::PathResult& y) {
+    return x.conds == y.conds && x.values == y.values && x.exit == y.exit &&
+           x.emit_instance == y.emit_instance &&
+           std::equal(x.obligations.begin(), x.obligations.end(),
+                      y.obligations.begin(), y.obligations.end(),
+                      same_obligation);
+  };
+  auto same_snap = [](const SummaryUnit::SeedSnap& x,
+                      const SummaryUnit::SeedSnap& y) {
+    return x.at == y.at && x.orig == y.orig && x.width == y.width;
+  };
+  return std::equal(a.internal.begin(), a.internal.end(), b.internal.begin(),
+                    b.internal.end(), same_path) &&
+         std::equal(a.seed_snaps.begin(), a.seed_snaps.end(),
+                    b.seed_snaps.begin(), b.seed_snaps.end(), same_snap);
+}
+
 }  // namespace
 
 SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
@@ -506,6 +533,24 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
   cfg::Cfg& g = result.graph;
   const size_t n = g.instances().size();
   if (n == 0) return result;
+
+  const std::vector<std::vector<size_t>> deps = instance_deps(g);
+  // Early cutoff (SummaryHooks::resume): each region's unit fingerprint,
+  // and whether its output this run equals its prior unit's.
+  std::vector<uint64_t> fps(n, 0);
+  if (opts.hooks != nullptr) {
+    const analysis::RegionFingerprints rf =
+        analysis::fingerprint_regions(ctx, original);
+    for (size_t k = 0; k < n; ++k) {
+      fps[k] = analysis::unit_fingerprint(rf, g.instances()[k].name);
+    }
+  }
+  std::vector<bool> same(n, false);
+  auto prior_unit = [&](size_t k) -> const SummaryUnit* {
+    if (opts.hooks == nullptr || opts.hooks->resume == nullptr) return nullptr;
+    auto it = opts.hooks->resume->find(g.instances()[k].name);
+    return it != opts.hooks->resume->end() ? &it->second : nullptr;
+  };
 
   // Explore one pipeline: pre-condition, seeding, body exploration. Reads
   // the graph and interns fields/expressions, but never mutates the graph —
@@ -517,30 +562,30 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
     w.ps.instance = info.name;
     w.ps.paths_before = g.count_instance_paths(static_cast<int>(k));
 
-    // Checkpoint resume: a prior run already explored this pipeline under
-    // an identical graph (content-key guarded by the checkpoint layer);
-    // restore its paths and seeds and let the sequential encode phase
-    // splice them as usual. paths_before is recomputed — it is a pure
-    // function of the graph and cheaper than serializing a BigCount.
-    if (opts.hooks != nullptr && opts.hooks->resume != nullptr) {
-      auto it = opts.hooks->resume->find(info.name);
-      if (it != opts.hooks->resume->end()) {
-        const SummaryUnit& u = it->second;
-        w.resumed = true;
-        w.ps.paths_after = u.paths_after;
-        w.ps.smt_checks = u.smt_checks;
-        w.ps.smt_skipped = u.smt_skipped;
-        w.ps.seconds = u.seconds;
-        w.internal = u.internal;
-        for (const SummaryUnit::SeedSnap& s : u.seed_snaps) {
-          ir::FieldId at = ctx.fields.intern(s.at, s.width);
-          ir::FieldId orig = ctx.fields.intern(s.orig, s.width);
-          w.seed_snaps.emplace_back(at, orig);
-          w.seeds.emplace(orig, ctx.arena.field(at, s.width));
-        }
-        span.arg("resumed", uint64_t{1});
-        return;
+    // Replay (SummaryHooks::resume): the prior unit was explored for this
+    // region's code and glue, and every upstream region's output is
+    // unchanged, so re-exploring would reproduce it. Restore its paths and
+    // seeds and let the sequential encode phase splice them as usual.
+    // paths_before is recomputed — it is a pure function of the graph and
+    // cheaper than serializing a BigCount.
+    const SummaryUnit* u = prior_unit(k);
+    bool replay = u != nullptr && u->fingerprint == fps[k];
+    for (size_t j : deps[k]) replay = replay && same[j];
+    if (replay) {
+      w.ps.resumed = true;
+      w.ps.paths_after = u->paths_after;
+      w.ps.smt_checks = u->smt_checks;
+      w.ps.smt_skipped = u->smt_skipped;
+      w.ps.seconds = u->seconds;
+      w.internal = u->internal;
+      for (const SummaryUnit::SeedSnap& s : u->seed_snaps) {
+        ir::FieldId at = ctx.fields.intern(s.at, s.width);
+        ir::FieldId orig = ctx.fields.intern(s.orig, s.width);
+        w.seed_snaps.emplace_back(at, orig);
+        w.seeds.emplace(orig, ctx.arena.field(at, s.width));
       }
+      span.arg("resumed", uint64_t{1});
+      return;
     }
 
     // 1. Public pre-condition (Algorithm 2 lines 4–7).
@@ -662,9 +707,10 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
 
   // Builds the checkpointable form of one explored pipeline (names, not
   // FieldIds — numbering is scheduling-dependent).
-  auto to_unit = [&](const InstanceWork& w) {
+  auto to_unit = [&](size_t k, const InstanceWork& w) {
     SummaryUnit u;
     u.instance = w.ps.instance;
+    u.fingerprint = fps[k];
     u.paths_after = w.ps.paths_after;
     u.smt_checks = w.ps.smt_checks;
     u.smt_skipped = w.ps.smt_skipped;
@@ -682,7 +728,6 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
 
   // Process in dependency waves: explore a wave's pipelines concurrently
   // (read-only on the graph), then splice their summaries sequentially.
-  const std::vector<std::vector<size_t>> deps = instance_deps(g);
   std::vector<InstanceWork> work(n);
   std::vector<bool> done(n, false);
   util::ThreadPool pool(util::resolve_threads(opts.threads));
@@ -715,9 +760,12 @@ SummaryResult summarize(ir::Context& ctx, const cfg::Cfg& original,
       encode(k, work[k]);
       done[k] = true;
       ++completed;
-      if (work[k].resumed) ++result.resumed_pipelines;
-      if (opts.hooks != nullptr && opts.hooks->on_unit) {
-        opts.hooks->on_unit(k, to_unit(work[k]));
+      if (work[k].ps.resumed) ++result.resumed_pipelines;
+      if (opts.hooks != nullptr) {
+        SummaryUnit u = to_unit(k, work[k]);
+        const SummaryUnit* p = prior_unit(k);
+        same[k] = work[k].ps.resumed || (p != nullptr && same_output(*p, u));
+        if (opts.hooks->on_unit) opts.hooks->on_unit(k, u);
       }
     }
   }

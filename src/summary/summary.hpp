@@ -39,6 +39,9 @@ namespace meissa::summary {
 // those into bytes and back.
 struct SummaryUnit {
   std::string instance;
+  // analysis::unit_fingerprint of the program the unit was explored for:
+  // the region's content hash mixed with the glue hash.
+  uint64_t fingerprint = 0;
   uint64_t paths_after = 0;
   uint64_t smt_checks = 0;
   uint64_t smt_skipped = 0;
@@ -58,8 +61,15 @@ struct SummaryHooks {
   // unit is complete and every earlier unit has been spliced — with the
   // pipeline's index (instance order) and its checkpointable work.
   std::function<void(size_t, const SummaryUnit&)> on_unit;
-  // Prior units by instance name; their pipelines skip the explore phase
-  // entirely and splice the restored paths.
+  // Prior units by instance name (a checkpoint's, or the previous run's
+  // of an incremental session). A pipeline's summary is a pure function of
+  // its own code, the glue, and its upstream pipelines' outputs (its
+  // public pre-condition is computed from nothing else), so a pipeline
+  // replays its prior unit — skipping the explore phase and splicing the
+  // restored paths — when the unit's fingerprint matches the current
+  // build AND every upstream pipeline was itself replayed or re-explored
+  // to output equal to its prior unit (early cutoff). Any other pipeline
+  // re-explores.
   const std::unordered_map<std::string, SummaryUnit>* resume = nullptr;
 };
 
@@ -89,7 +99,8 @@ struct SummaryOptions {
   // silently change the graph); SummaryResult::cancelled reports it and
   // the partially-summarized graph must not be used. Must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  // Checkpoint/resume hooks (may be null). Must outlive the run.
+  // Checkpoint/resume hooks (may be null). When set, every region is
+  // fingerprinted once per run. Must outlive the run.
   const SummaryHooks* hooks = nullptr;
   // Externally-owned path-condition verdict cache, handed to every
   // pre-condition and body engine (see sym::EngineOptions::shared_pc_cache
@@ -152,6 +163,7 @@ struct PipelineSummary {
   uint64_t smt_checks = 0;      // solver checks spent summarizing
   double seconds = 0.0;
   uint64_t smt_skipped = 0;     // checks avoided by static pruning
+  bool resumed = false;         // replayed from SummaryHooks::resume
 };
 
 struct SummaryResult {

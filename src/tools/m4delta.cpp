@@ -1,7 +1,7 @@
 // m4delta — incremental re-testing CLI: run a baseline generation for a
 // built-in app, apply N single-table rule updates, and report *delta
 // coverage* per update (templates added/removed/unchanged), the regions
-// the change-impact analysis kept clean, and the solver work saved vs
+// whose summaries were replayed (clean), and the solver work saved vs
 // full regeneration.
 //
 //   m4delta --app NAME [options]
@@ -79,15 +79,6 @@ bool remove_last_entry(p4::RuleSet& rules, const std::string& table) {
     }
   }
   return false;
-}
-
-std::string join(const std::vector<std::string>& v) {
-  std::string s;
-  for (const std::string& x : v) {
-    if (!s.empty()) s += ",";
-    s += x;
-  }
-  return s;
 }
 
 std::string json_list(const std::vector<std::string>& v) {
@@ -215,8 +206,9 @@ int main(int argc, char** argv) {
         out += ",\"regions_dirty\":" + std::to_string(r.rep.impact.dirty.size());
         out += ",\"regions_clean\":" + std::to_string(r.rep.impact.clean.size());
         out += ",\"dirty\":" + json_list(r.rep.impact.dirty);
-        out += ",\"tainted_fields\":" + json_list(r.rep.impact.tainted_fields);
-        out += ",\"changed_tables\":" + json_list(r.rep.impact.changed_tables);
+        out += ",\"changed_tables\":" +
+               json_list(r.rep.run > 0 ? std::vector<std::string>{table}
+                                       : std::vector<std::string>{});
         out += ",\"summaries_reused\":" + std::to_string(r.rep.summaries_reused);
         out += ",\"added\":" + std::to_string(r.rep.added);
         out += ",\"removed\":" + std::to_string(r.rep.removed);
@@ -251,7 +243,7 @@ int main(int argc, char** argv) {
         std::printf(
             "update %d: tables[%s] dirty=%zu clean=%zu reused=%llu | "
             "templates %zu (+%llu -%llu =%llu) | %llu SMT check(s)",
-            r.rep.run, join(r.rep.impact.changed_tables).c_str(),
+            r.rep.run, table.c_str(),
             r.rep.impact.dirty.size(), r.rep.impact.clean.size(),
             (unsigned long long)r.rep.summaries_reused,
             r.rep.templates.size(), (unsigned long long)r.rep.added,

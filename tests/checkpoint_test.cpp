@@ -309,7 +309,7 @@ TEST(ContentKey, DiscriminatesInventoryAndOutputAffectingOptions) {
   EXPECT_NE(driver::checkpoint_content_key(ctx2, g2, opts), base);
 
   // A *content* change with the same inventory (fewer routes installed)
-  // keeps the key: program content is tracked per region by the payload
+  // keeps the key: program content is tracked by the payload's unit
   // fingerprints, so a localized edit degrades the checkpoint instead of
   // rejecting it wholesale.
   ir::Context ctx3;
@@ -356,78 +356,64 @@ TEST(ContentKey, DiscriminatesInventoryAndOutputAffectingOptions) {
   EXPECT_EQ(driver::checkpoint_content_key(ctx, g, changed), base);
 }
 
-TEST(Fingerprints, LoadFiltersStaleUnitsAndFrontiers) {
+TEST(Checkpoint, LoadKeepsFrontiersOnlyForTheSameGraph) {
+  // Shard frontiers embed absolute node ids: they survive a load only under
+  // the same whole-graph hash. Units survive either way, fingerprints
+  // intact — summarize() decides which of them replay
+  // (tests/early_cutoff_test.cpp).
   const std::string dir = temp_dir("fpfilter");
   const uint64_t key = 42;
-
-  // Hand-built fingerprints: two regions, B downstream of A.
-  analysis::RegionFingerprints fps;
-  fps.instances = {"A", "B"};
-  fps.region = {{"A", 11}, {"B", 22}};
-  fps.upstream = {{"A", {}}, {"B", {"A"}}};
-  fps.glue = 7;
-  fps.whole = 100;
+  const uint64_t graph_fp = 100;
 
   ir::Context ctx;
   {
-    driver::CheckpointManager m(ctx, dir, key, nullptr, fps);
+    driver::CheckpointManager m(ctx, dir, key, nullptr, graph_fp);
     summary::SummaryUnit ua;
     ua.instance = "A";
+    ua.fingerprint = 11;
     m.add_unit(ua);
     summary::SummaryUnit ub;
     ub.instance = "B";
+    ub.fingerprint = 22;
     m.add_unit(ub);
     m.begin_shards(1);
     m.update_shard(0, {});
     EXPECT_GT(m.writes(), 0u);
   }
 
-  // Same build: everything survives.
+  // Same graph: everything survives.
   {
     ir::Context fresh;
-    driver::CheckpointManager m(fresh, dir, key, nullptr, fps);
+    driver::CheckpointManager m(fresh, dir, key, nullptr, graph_fp);
     driver::CheckpointData out;
     ASSERT_TRUE(m.load(out));
     EXPECT_EQ(out.units.size(), 2u);
     EXPECT_EQ(out.shards.size(), 1u);
   }
 
-  // B's region changed (content edit): B's unit is dropped, A's — whose
-  // region and (empty) upstream still match — survives. The whole-graph
-  // hash moved too, so the DFS frontier (absolute node ids) is cleared.
+  // Another graph: the frontier is cleared, the units are kept.
   {
-    analysis::RegionFingerprints cur = fps;
-    cur.region["B"] = 33;
-    cur.whole = 101;
     ir::Context fresh;
-    driver::CheckpointManager m(fresh, dir, key, nullptr, cur);
+    driver::CheckpointManager m(fresh, dir, key, nullptr, graph_fp + 1);
     driver::CheckpointData out;
     ASSERT_TRUE(m.load(out));
-    EXPECT_EQ(out.units.size(), 1u);
-    EXPECT_EQ(out.units.count("A"), 1u);
     EXPECT_TRUE(out.shards.empty());
+    ASSERT_EQ(out.units.size(), 2u);
+    EXPECT_EQ(out.units.at("A").fingerprint, 11u);
+    EXPECT_EQ(out.units.at("B").fingerprint, 22u);
   }
 
-  // A's region changed: A is dropped directly, and B is dropped because
-  // its *upstream* no longer matches — a changed upstream region changes
-  // the pre-conditions B was summarized under.
+  // A checkpoint holding only a frontier, loaded for another graph, has
+  // nothing left to resume.
+  const std::string dir2 = temp_dir("fpfilter2");
   {
-    analysis::RegionFingerprints cur = fps;
-    cur.region["A"] = 99;
-    cur.whole = 102;
-    ir::Context fresh;
-    driver::CheckpointManager m(fresh, dir, key, nullptr, cur);
-    driver::CheckpointData out;
-    EXPECT_FALSE(m.load(out));
+    driver::CheckpointManager m(ctx, dir2, key, nullptr, graph_fp);
+    m.begin_shards(1);
+    m.update_shard(0, {});
   }
-
-  // Glue changed: inter-pipeline hand-off is suspect — nothing survives.
   {
-    analysis::RegionFingerprints cur = fps;
-    cur.glue = 8;
-    cur.whole = 103;
     ir::Context fresh;
-    driver::CheckpointManager m(fresh, dir, key, nullptr, cur);
+    driver::CheckpointManager m(fresh, dir2, key, nullptr, graph_fp + 1);
     driver::CheckpointData out;
     EXPECT_FALSE(m.load(out));
   }
