@@ -536,8 +536,13 @@ bool CheckpointManager::load(CheckpointData& out) {
     if (data->graph_fp != graph_fp_) data->shards.clear();
     if (data->units.empty() && data->shards.empty()) continue;
     out = std::move(*data);
-    data_ = out;
-    // Subsequent persists describe the CURRENT program, not the loaded one.
+    // Subsequent persists describe the CURRENT run only. summarize()
+    // reports every unit it replays or re-explores through on_unit, so the
+    // loaded units are not carried forward: a stored unit explored under
+    // an upstream output this run has since replaced would otherwise
+    // outlive a kill and replay on its fingerprint at the next resume.
+    data_.units.clear();
+    data_.shards = out.shards;
     data_.graph_fp = graph_fp_;
     return true;
   }

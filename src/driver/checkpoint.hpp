@@ -114,7 +114,10 @@ class CheckpointManager {
   // Loads the newest valid checkpoint (current file, else `.prev`) into
   // `out`, dropping the shard frontiers when the whole-graph hash no
   // longer matches the current build. False when neither file validates
-  // or nothing is left to resume.
+  // or nothing is left to resume. The loaded units are handed out, not
+  // kept: later persists hold only the units this run records through
+  // add_unit (summarize() records replayed ones too), so the file never
+  // mixes units from two runs (early cutoff needs one consistent run).
   bool load(CheckpointData& out);
 
   // Records one encoded pipeline (summary wave boundary) and persists.

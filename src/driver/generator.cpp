@@ -54,7 +54,6 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
         analysis::fingerprint_graph(ctx_, original_));
     if (opts_.resume) {
       have_prior = ckpt->load(prior);
-      stats_.resumed = have_prior;
       if (have_prior) obs::instant("checkpoint loaded", "gen");
     }
   }
@@ -84,6 +83,7 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
       // A partially summarized graph must never be explored; report the
       // cancel and stop before the DFS.
       stats_.cancelled = true;
+      stats_.resumed = have_prior && stats_.resumed_pipelines > 0;
       stats_.total_seconds = stats_.build_seconds + stats_.summary_seconds;
       summarized_.reset();  // a later generate() re-runs the summary
       return {};
@@ -180,6 +180,8 @@ std::vector<sym::TestCaseTemplate> Generator::generate() {
                       const sym::TestCaseTemplate& b) { return a.id < b.id; });
   stats_.dfs_seconds = secs_since(t0);
   stats_.engine = engine_->stats();
+  stats_.resumed = have_prior && (stats_.resumed_pipelines > 0 ||
+                                  stats_.engine.resumed_shards > 0);
   stats_.timed_out = engine_->stats().timed_out;
   stats_.cancelled = engine_->stats().cancelled;
   stats_.exact_paths = engine_->stats().valid_paths;

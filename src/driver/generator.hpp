@@ -116,8 +116,9 @@ struct GenStats {
   uint64_t validate_refuted = 0;
   double validate_seconds = 0;
   // Crash safety & supervision (GenOptions::checkpoint_dir / supervise):
-  // a valid checkpoint was loaded and this run resumed from it; pipelines
-  // whose explore phase the checkpoint skipped; checkpoint persists that
+  // a loaded checkpoint saved work (a pipeline replayed or a DFS shard
+  // restored; an accepted checkpoint whose units all went stale leaves it
+  // false); pipelines whose explore phase was skipped; checkpoint persists that
   // succeeded / failed (failures never abort the run — it just keeps the
   // previous file). Shard-level requeue/degrade/resume counts live in
   // `engine` (EngineStats).

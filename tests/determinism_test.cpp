@@ -5,6 +5,7 @@
 // signatures below are name-based and must not.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <functional>
@@ -12,6 +13,7 @@
 #include <thread>
 
 #include "apps/apps.hpp"
+#include "cfg/build.hpp"
 #include "driver/incremental.hpp"
 #include "driver/tester.hpp"
 #include "obs/metrics.hpp"
@@ -346,6 +348,57 @@ TEST(Resume, InjectedShardCrashStillByteIdentical) {
       generate_signature(nat_gateway_app, opts);
   EXPECT_EQ(inj.fired(), 1u);
   EXPECT_EQ(got, expect);
+}
+
+TEST(Resume, EditThenKillThenResumeMatchesFromScratch) {
+  // A checkpoint written for one program, resumed on an edited one, killed
+  // part-way through the summary and resumed again must still emit the
+  // edited program's bytes. Dropping an elastic_ip entry on gw-3 changes
+  // one region's output and, through it, the units of downstream regions
+  // whose fingerprints are unchanged (Incremental.DependencyEdgesAreLoad-
+  // Bearing). A stored unit explored under the old upstream output would
+  // replay on its fingerprint at the second resume, so the stored units
+  // must never mix two runs. Failing every checkpoint write after the
+  // first `kept` leaves on disk exactly what a kill there would.
+  const AppMaker original = [](ir::Context& ctx) {
+    apps::GwConfig cfg;
+    cfg.level = 3;
+    cfg.elastic_ips = 4;
+    return apps::make_gateway(ctx, cfg);
+  };
+  const AppMaker edited = [&original](ir::Context& ctx) {
+    apps::AppBundle app = original(ctx);
+    std::vector<p4::TableEntry>& entries = app.rules.entries;
+    auto last = std::find_if(entries.rbegin(), entries.rend(),
+                             [](const p4::TableEntry& e) {
+                               return e.table == "elastic_ip";
+                             });
+    if (last != entries.rend()) entries.erase(std::next(last).base());
+    return app;
+  };
+  const std::vector<std::string> expect = generate_signature(edited, {});
+  ASSERT_FALSE(expect.empty());
+  ir::Context ctx;
+  apps::AppBundle app = original(ctx);
+  const size_t regions =
+      cfg::build_cfg(app.dp, app.rules, ctx).instances().size();
+
+  for (size_t kept = 1; kept < regions; ++kept) {
+    driver::GenOptions opts;
+    opts.checkpoint_dir = resume_dir("edit" + std::to_string(kept));
+    (void)generate_signature(original, opts);
+    opts.resume = true;
+    {
+      util::FaultInjector kill;
+      kill.add(util::parse_fault_spec("checkpoint.serialize:abort:" +
+                                      std::to_string(kept) + ":0:0"));
+      driver::GenOptions killed = opts;
+      killed.fault = &kill;
+      EXPECT_EQ(generate_signature(edited, killed), expect);
+    }
+    EXPECT_EQ(generate_signature(edited, opts), expect)
+        << "killed after " << kept << " checkpoint write(s)";
+  }
 }
 
 // --------------------------------------------- session verdict cache
